@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
+from .runtime import _text_file
 
 
 class CoefficientField:
@@ -120,30 +121,16 @@ def dump_kappa(kappa: CoefficientField, file, epsilon=None) -> None:
     if kappa.kind != "grid":
         eps = epsilon if epsilon is not None else kappa.width / 2
         kappa = kappa.to_grid(eps)
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write(f"{kappa.epsilon!r}\n")
+    with _text_file(file, "w") as fh:
+        fh.write(f"{kappa.epsilon!r}\n")
         for row in kappa.values:
-            file.write(" ".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            file.close()
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_kappa(file) -> CoefficientField:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file)
-        close = True
-    try:
-        eps = float(file.readline())
-        values = [[float(v) for v in line.split()] for line in file if line.strip()]
-    finally:
-        if close:
-            file.close()
+    with _text_file(file) as fh:
+        eps = float(fh.readline())
+        values = [[float(v) for v in line.split()] for line in fh if line.strip()]
     return CoefficientField("grid", epsilon=eps, values=np.array(values))
 
 
@@ -175,15 +162,14 @@ def _restrict(full: sp.csr_matrix, mesh: TriMesh, all_nodes: bool,
     return full[free][:, free]
 
 
-def _accumulate(mesh, local_vals):
-    """Sum 3x3 local element matrices into a global sparse matrix."""
-    n = mesh.n_vertices
-    T = mesh.triangles
+def _accumulate(triangles, n, local_vals):
+    """Sum 3x3 local element matrices over the given triangles into a
+    global n x n sparse matrix."""
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
-            rows.append(T[:, i])
-            cols.append(T[:, j])
+            rows.append(triangles[:, i])
+            cols.append(triangles[:, j])
             vals.append(local_vals[i][j])
     A = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -196,7 +182,8 @@ def assemble_mass(mesh: TriMesh, all_nodes: bool = False) -> sp.csr_matrix:
     area, _, _ = _p1_geometry(mesh)
     local = [[area * ((2.0 if i == j else 1.0) / 12.0) for j in range(3)]
              for i in range(3)]
-    return _restrict(_accumulate(mesh, local), mesh, all_nodes)
+    return _restrict(_accumulate(mesh.triangles, mesh.n_vertices, local),
+                     mesh, all_nodes)
 
 
 def assemble_stiffness(mesh: TriMesh, kappa: CoefficientField,
@@ -216,19 +203,10 @@ def _stiffness_on(mesh, kappa, tri_ids):
     if tri_ids is not None:
         area, b, c, T = area[tri_ids], b[tri_ids], c[tri_ids], T[tri_ids]
     centroids = mesh.vertices[T].mean(axis=1)
-    k = kappa.values_at(centroids)
-    scale = k / (4.0 * area)
-    n = mesh.n_vertices
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(T[:, i])
-            cols.append(T[:, j])
-            vals.append(scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j]))
-    S = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-    return 0.5 * (S + S.T)
+    scale = kappa.values_at(centroids) / (4.0 * area)
+    local = [[scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j])
+              for j in range(3)] for i in range(3)]
+    return _accumulate(T, mesh.n_vertices, local)
 
 
 def _clip_axis(poly, axis, bound, keep_below):
@@ -347,3 +325,18 @@ class LqrSystem:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+
+def restrict_system(system: LqrSystem, lift) -> LqrSystem:
+    """Galerkin restriction of a system to the column span of ``lift``.
+
+    ``lift`` maps coarse coefficients to fine ones (the prolongation P for
+    plain coarse elements, the corrected basis Rh for LOD).  The result
+    holds lift^T M lift and lift^T S lift (symmetrized), lift^T B and
+    C lift, with the weights Q and R unchanged.
+    """
+    M = (lift.T @ system.M @ lift).tocsr()
+    S = (lift.T @ system.S @ lift).tocsr()
+    return LqrSystem(M=0.5 * (M + M.T), S=0.5 * (S + S.T),
+                     B=lift.T @ system.B, C=system.C @ lift,
+                     Q=system.Q, R=system.R)

@@ -23,7 +23,7 @@ from . import mesh as mesh_mod
 from .assembly import (CoefficientField, LqrSystem, assemble_input_squares,
                        assemble_mass, assemble_output_mean,
                        assemble_stiffness, dump_kappa, kappa_constant,
-                       kappa_random_grid, kappa_stripes)
+                       kappa_random_grid, kappa_stripes, restrict_system)
 from .dre import SolverConfig, solve_dre
 from .lod import build_lod_basis, default_patch_radius
 from .lowrank import zero_factor
@@ -70,6 +70,7 @@ class ExperimentConfig:
             raise ValueError("reference level must exceed the coarsest levels")
         if self.domain_kind not in mesh_mod.DOMAINS:
             raise ValueError(f"unknown domain {self.domain_kind!r}")
+        control_squares(self.domain_kind)
         if self.k is not None and self.k < 1:
             raise ValueError("patch radius must be at least 1")
         if self.workers < 1:
@@ -247,7 +248,7 @@ def _metadata_lines(cfg: ExperimentConfig, n_ref, k_levels):
         f"# preset={cfg.preset} domain={cfg.domain_kind}",
         f"# {kdesc}",
         f"# T={s.T!r} n_t={s.n_t} substeps={s.substeps} "
-        f"quad_nodes={s.quad_nodes} compress_tol={s.compress_tol!r}",
+        f"compress_tol={s.compress_tol!r}",
         f"# j_ref={cfg.j_ref} n_ref={n_ref} "
         f"k_levels={','.join(str(k) for k in k_levels)}",
     ]
@@ -292,11 +293,7 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
         for j in range(cfg.j_min, cfg.j_max + 1):
             coarse = chain[j]
             P = prolongation(coarse, fine)
-            M_H = P.T @ system.M @ P
-            S_H = P.T @ system.S @ P
-            coarse_sys = LqrSystem(M=0.5 * (M_H + M_H.T).tocsr(),
-                                   S=0.5 * (S_H + S_H.T).tocsr(),
-                                   B=P.T @ system.B, C=system.C @ P)
+            coarse_sys = restrict_system(system, P)
 
             t0 = time.perf_counter()
             fem = solve_dre(coarse_sys, zero_factor(coarse_sys.n), cfg.solver)
@@ -361,54 +358,69 @@ def _parse_number(text: str) -> float:
     return float(text)
 
 
+# (section, key) -> (attribute, cast); configparser lowercases keys, and
+# [solver] attributes are SolverConfig fields
+_CONFIG_KEYS = {
+    ("experiment", "preset"): ("preset", str),
+    ("experiment", "domain"): ("domain_kind", str),
+    ("experiment", "j_min"): ("j_min", int),
+    ("experiment", "j_max"): ("j_max", int),
+    ("experiment", "j_ref"): ("j_ref", int),
+    ("experiment", "k"): ("k", int),
+    ("experiment", "workers"): ("workers", int),
+    ("experiment", "output"): ("output", str),
+    ("kappa", "type"): ("kappa_type", str),
+    ("kappa", "epsilon"): ("epsilon", _parse_number),
+    ("kappa", "lo"): ("kappa_lo", _parse_number),
+    ("kappa", "hi"): ("kappa_hi", _parse_number),
+    ("kappa", "seed"): ("seed", int),
+    ("kappa", "n_stripes"): ("n_stripes", int),
+    ("kappa", "width"): ("stripe_width", _parse_number),
+    ("kappa", "value"): ("stripe_value", _parse_number),
+    ("kappa", "background"): ("background", _parse_number),
+    ("kappa", "constant"): ("constant_value", _parse_number),
+    ("solver", "t"): ("T", _parse_number),
+    ("solver", "n_t"): ("n_t", int),
+    ("solver", "substeps"): ("substeps", int),
+    ("solver", "quad_nodes"): ("quad_nodes", int),   # old alias, see below
+    ("solver", "compress_tol"): ("compress_tol", _parse_number),
+}
+
+
 def parse_config(path: str) -> ExperimentConfig:
     """Read a key = value config file with [experiment], [kappa] and
-    [solver] sections; unspecified keys fall back to the preset."""
+    [solver] sections; unspecified keys fall back to the preset, and
+    unknown sections or keys are errors."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     with open(path) as fh:
         parser.read_file(fh)
 
-    exp = parser["experiment"] if parser.has_section("experiment") else {}
-    cfg = preset_config(exp.get("preset", "grid"))
+    values = {}
+    for section in parser.sections():
+        if section not in {sec for sec, _ in _CONFIG_KEYS}:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, text in parser.items(section):
+            if (section, key) not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r} in [{section}]")
+            attr, cast = _CONFIG_KEYS[section, key]
+            try:
+                values[section, attr] = cast(text)
+            except ValueError:
+                raise ValueError(f"bad value {text!r} for {key!r} in "
+                                 f"[{section}]") from None
 
-    if "domain" in exp:
-        cfg.domain_kind = exp["domain"]
-    for key in ("j_min", "j_max", "j_ref"):
-        if key in exp:
-            setattr(cfg, key, int(exp[key]))
-    if "k" in exp:
-        cfg.k = int(exp["k"])
-    if "workers" in exp:
-        cfg.workers = int(exp["workers"])
-    if "output" in exp:
-        cfg.output = exp["output"]
-
-    if parser.has_section("kappa"):
-        kap = parser["kappa"]
-        if "type" in kap:
-            cfg.kappa_type = kap["type"]
-        for key, attr in (("epsilon", "epsilon"), ("lo", "kappa_lo"),
-                          ("hi", "kappa_hi"), ("width", "stripe_width"),
-                          ("value", "stripe_value"),
-                          ("background", "background"),
-                          ("constant", "constant_value")):
-            if key in kap:
-                setattr(cfg, attr, _parse_number(kap[key]))
-        if "seed" in kap:
-            cfg.seed = int(kap["seed"])
-        if "n_stripes" in kap:
-            cfg.n_stripes = int(kap["n_stripes"])
-
-    if parser.has_section("solver"):
-        sol = parser["solver"]
-        kwargs = {}
-        for key, cast in (("T", _parse_number), ("n_t", int),
-                          ("substeps", int), ("quad_nodes", int),
-                          ("compress_tol", _parse_number)):
-            if key in sol:
-                kwargs[key] = cast(sol[key])
-        cfg.solver = replace(cfg.solver, **kwargs)
-
+    cfg = preset_config(values.get(("experiment", "preset"), "grid"))
+    solver = {}
+    for (section, attr), value in values.items():
+        if section == "solver":
+            solver[attr] = value
+        else:
+            setattr(cfg, attr, value)
+    # quad_nodes was a second knob on the same substep grid
+    if "quad_nodes" in solver:
+        solver["substeps"] = max(solver.get("substeps", cfg.solver.substeps),
+                                 solver.pop("quad_nodes"))
+    cfg.solver = replace(cfg.solver, **solver)
     return cfg.validate()
 
 

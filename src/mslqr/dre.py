@@ -29,32 +29,38 @@ from .runtime import single_thread_blas
 class SolverConfig:
     """Time discretization knobs for one Riccati solve.
 
-    ``substeps`` and ``quad_nodes`` both raise the resolution of the shared
-    substep grid inside each half-step of the splitting; the effective
-    number of grid intervals is their maximum.
+    ``substeps`` is the number of Crank-Nicolson intervals inside each
+    half-step of the splitting; the output-Gramian quadrature uses the same
+    grid.
     """
 
     T: float = 1.0
     n_t: int = 256
     substeps: int = 4
-    quad_nodes: int = 3
     compress_tol: float = 1e-10
 
     def __post_init__(self):
         if self.T <= 0:
-            raise ValueError("final time must be positive")
-        if self.n_t < 1 or self.substeps < 1 or self.quad_nodes < 1:
-            raise ValueError("step counts must be at least 1")
-        if self.compress_tol < 0:
-            raise ValueError("compression tolerance must be nonnegative")
+            raise ValueError(f"T must be positive, got {self.T!r}")
+        if self.n_t < 1 or self.substeps < 1:
+            raise ValueError("n_t and substeps must be at least 1")
+        if not 0 <= self.compress_tol < 1:
+            raise ValueError(
+                f"compress_tol must lie in [0, 1), got {self.compress_tol!r}")
 
     @property
     def tau(self) -> float:
         return self.T / self.n_t
 
-    @property
-    def stage_substeps(self) -> int:
-        return max(self.substeps, self.quad_nodes)
+
+def crank_nicolson_ops(system: LqrSystem, dt: float):
+    """Factorized M + dt/2 S and the matrix M - dt/2 S of one
+    Crank-Nicolson step of M x' = -S x."""
+    try:
+        lu = splu((system.M + (0.5 * dt) * system.S).tocsc())
+    except RuntimeError as exc:  # pragma: no cover - guarded
+        raise np.linalg.LinAlgError("singular implicit-step matrix") from exc
+    return lu, (system.M - (0.5 * dt) * system.S).tocsr()
 
 
 class FlowCache:
@@ -63,9 +69,8 @@ class FlowCache:
     def __init__(self, system: LqrSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
-        self.dt_base = (0.5 * cfg.tau) / cfg.stage_substeps
-        self._lu = {}
-        self._mminus = {}
+        self.dt_base = (0.5 * cfg.tau) / cfg.substeps
+        self._ops = {}
         self.lu_mass = splu(system.M.tocsc())
         if system.p > 0 and np.any(system.Q):
             self.W = self.lu_mass.solve(np.ascontiguousarray(system.C.T))
@@ -74,16 +79,9 @@ class FlowCache:
 
     def step_ops(self, dt: float):
         key = float(dt)
-        if key not in self._lu:
-            Mplus = (self.system.M + (0.5 * dt) * self.system.S).tocsc()
-            try:
-                self._lu[key] = splu(Mplus)
-            except RuntimeError as exc:  # pragma: no cover - guarded
-                raise np.linalg.LinAlgError(
-                    "singular implicit-step matrix") from exc
-            self._mminus[key] = (self.system.M
-                                 - (0.5 * dt) * self.system.S).tocsr()
-        return self._lu[key], self._mminus[key]
+        if key not in self._ops:
+            self._ops[key] = crank_nicolson_ops(self.system, dt)
+        return self._ops[key]
 
 
 def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
@@ -171,28 +169,17 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
     with single_thread_blas():
         wall0 = time.perf_counter()
         cache = FlowCache(system, cfg)
-        timings = {"setup": time.perf_counter() - wall0, "exp_f": 0.0,
-                   "exp_g": 0.0}
-        tau = cfg.tau
+        timings = {"setup": time.perf_counter() - wall0}
         X = compress(X0, cfg.compress_tol)
         ranks = [X.rank]
         cps = [X.copy()] if store_checkpoints else None
         for j in range(cfg.n_t):
-            t0 = time.perf_counter()
-            X = apply_exp_F(0.5 * tau, X, system, cfg, cache)
-            t1 = time.perf_counter()
-            X = compress(apply_exp_G(tau, X, system.B, system.R),
-                         cfg.compress_tol)
-            t2 = time.perf_counter()
-            X = apply_exp_F(0.5 * tau, X, system, cfg, cache)
-            t3 = time.perf_counter()
-            timings["exp_f"] += (t1 - t0) + (t3 - t2)
-            timings["exp_g"] += t2 - t1
+            X = strang_step(cfg.tau, X, system, cfg, cache)
             ranks.append(X.rank)
             if store_checkpoints:
                 cps.append(X.copy())
             if verbose:
-                print(f"{j + 1}\t{(j + 1) * tau:.6g}\t{X.rank}\t"
+                print(f"{j + 1}\t{(j + 1) * cfg.tau:.6g}\t{X.rank}\t"
                       f"{time.perf_counter() - wall0:.3f}",
                       file=sys.stderr)
         timings["total"] = time.perf_counter() - wall0
@@ -228,8 +215,7 @@ def simulate_closed_loop(system: LqrSystem, solution, x0: np.ndarray,
             raise ValueError(f"expected {cfg.n_t + 1} checkpoints, "
                              f"got {len(cps)}")
     tau = cfg.tau
-    lu = splu((system.M + (0.5 * tau) * system.S).tocsc())
-    Mminus = (system.M - (0.5 * tau) * system.S).tocsr()
+    lu, Mminus = crank_nicolson_ops(system, tau)
     x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
     inputs = []

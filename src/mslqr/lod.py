@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (CoefficientField, LqrSystem, _stiffness_on,
-                       assemble_mass, assemble_stiffness)
+                       assemble_mass, assemble_stiffness, restrict_system)
 from .mesh import TriMesh, ancestor_elements, lineage, prolongation
 from .runtime import single_thread_blas
 
@@ -159,22 +159,6 @@ def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
     return dof_free, sol[: dof_free.size], hat_free
 
 
-def element_corrector(fine: TriMesh, coarse: TriMesh, I_H: sp.spmatrix,
-                      kappa: CoefficientField, K: int,
-                      k: int) -> sp.csr_matrix:
-    """Corrector contribution of one coarse element as a sparse
-    (fine free) x (coarse free) matrix with at most three nonzero columns."""
-    if k < 1:
-        raise ValueError("corrector patches need at least one layer")
-    ws = _Workspace(fine, coarse, kappa, I_H=I_H)
-    patch = patch_elements(coarse, K, k, incidence=ws.inc_coarse)
-    dof_free, cols, hat_free = _solve_patch(ws, K, patch)
-    out = sp.lil_matrix((fine.n_free, coarse.n_free))
-    for j, zf in enumerate(hat_free):
-        out[dof_free, zf] = cols[:, j]
-    return out.tocsr()
-
-
 @dataclass
 class LodBasis:
     """Corrected coarse basis and the corrected system matrices.
@@ -196,20 +180,9 @@ class LodBasis:
     def n_coarse(self) -> int:
         return self.Rh.shape[1]
 
-    def system(self, Q=None, R=None) -> LqrSystem:
+    def system(self) -> LqrSystem:
         """Corrected-space LQR system ready for the Riccati solver."""
-        return LqrSystem(M=self.M_ms, S=self.S_ms, B=self.B_ms, C=self.C_ms,
-                         Q=Q, R=R)
-
-
-def _corrected_matrices(Rh, system):
-    M_ms = (Rh.T @ system.M @ Rh).tocsr()
-    S_ms = (Rh.T @ system.S @ Rh).tocsr()
-    M_ms = 0.5 * (M_ms + M_ms.T)
-    S_ms = 0.5 * (S_ms + S_ms.T)
-    B_ms = Rh.T @ system.B
-    C_ms = system.C @ Rh
-    return M_ms, S_ms, B_ms, C_ms
+        return LqrSystem(M=self.M_ms, S=self.S_ms, B=self.B_ms, C=self.C_ms)
 
 
 def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
@@ -258,11 +231,11 @@ def _build_lod_basis(fine, coarse, kappa, k, system, I_H, workers):
     else:
         Q = sp.csr_matrix((fine.n_free, coarse.n_free))
     Rh = (ws.P_free - Q).tocsr()
-    M_ms, S_ms, B_ms, C_ms = _corrected_matrices(Rh, system)
+    ms = restrict_system(system, Rh)
     stats = {"n_elements": coarse.n_triangles,
              "patch_elements_min": int(min(patch_sizes)),
              "patch_elements_max": int(max(patch_sizes))}
-    return LodBasis(k, Rh, M_ms, S_ms, B_ms, C_ms, stats)
+    return LodBasis(k, Rh, ms.M, ms.S, ms.B, ms.C, stats)
 
 
 def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
@@ -279,8 +252,8 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     rhs = np.vstack([(ws.S_free @ ws.P_free).toarray(), np.zeros((nH, nH))])
     Q = lu.solve(rhs)[:n]
     Rh = sp.csr_matrix(ws.P_free - Q)
-    M_ms, S_ms, B_ms, C_ms = _corrected_matrices(Rh, system)
-    return LodBasis(-1, Rh, M_ms, S_ms, B_ms, C_ms, {"global": True})
+    ms = restrict_system(system, Rh)
+    return LodBasis(-1, Rh, ms.M, ms.S, ms.B, ms.C, {"global": True})
 
 
 def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
@@ -358,5 +331,5 @@ def load_lod_basis(path, system: LqrSystem, fine=None, coarse=None,
         expected = repr(basis_fingerprints(fine, coarse, kappa))
         if stored != expected:
             raise ValueError("saved basis does not match the given inputs")
-    M_ms, S_ms, B_ms, C_ms = _corrected_matrices(Rh, system)
-    return LodBasis(k, Rh, M_ms, S_ms, B_ms, C_ms, {"loaded": True})
+    ms = restrict_system(system, Rh)
+    return LodBasis(k, Rh, ms.M, ms.S, ms.B, ms.C, {"loaded": True})

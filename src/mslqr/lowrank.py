@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .runtime import _text_file
+
 _PSD_SLACK = 1e-12
 
 
@@ -46,15 +48,6 @@ class LowRankFactor:
 
 def zero_factor(n: int) -> LowRankFactor:
     return LowRankFactor(np.zeros((n, 0)), np.zeros((0, 0)))
-
-
-def from_dense(X: np.ndarray, tol: float = 0.0) -> LowRankFactor:
-    """Factor a dense symmetric matrix (testing helper)."""
-    X = np.asarray(X, dtype=float)
-    lam, U = np.linalg.eigh(0.5 * (X + X.T))
-    amax = np.abs(lam).max(initial=0.0)
-    keep = np.abs(lam) > tol * amax if amax > 0 else np.zeros(len(lam), bool)
-    return LowRankFactor(U[:, keep], np.diag(lam[keep]))
 
 
 def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
@@ -141,32 +134,18 @@ def apply_exp_G(t: float, F: LowRankFactor, B: np.ndarray,
 def dump_factor(F: LowRankFactor, file) -> None:
     """Plain-text factor dump: a header line 'n r', then the rows of L,
     then the rows of D, one row per line."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
-        file.write(f"{F.n} {F.rank}\n")
+    with _text_file(file, "w") as fh:
+        fh.write(f"{F.n} {F.rank}\n")
         for row in F.L:
-            file.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
         for row in F.D:
-            file.write(" ".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            file.close()
+            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def load_factor(file) -> LowRankFactor:
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file)
-        close = True
-    try:
-        n, r = (int(v) for v in file.readline().split())
-        rows = [[float(v) for v in file.readline().split()] for _ in range(n)]
-        drows = [[float(v) for v in file.readline().split()] for _ in range(r)]
-    finally:
-        if close:
-            file.close()
+    with _text_file(file) as fh:
+        n, r = (int(v) for v in fh.readline().split())
+        rows = [[float(v) for v in fh.readline().split()] for _ in range(n)]
+        drows = [[float(v) for v in fh.readline().split()] for _ in range(r)]
     return LowRankFactor(np.array(rows).reshape(n, r),
                          np.array(drows).reshape(r, r))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .runtime import _text_file
+
 INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
@@ -148,15 +150,6 @@ class TriMesh:
         x, y = self._corner_coords()
         return 0.5 * ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
                       - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-
-    def meshwidth(self) -> float:
-        """Longest edge over all triangles."""
-        x, y = self._corner_coords()
-        h = 0.0
-        for i, j in ((0, 1), (1, 2), (2, 0)):
-            h = max(h, np.sqrt((x[:, i] - x[:, j]) ** 2
-                               + (y[:, i] - y[:, j]) ** 2).max())
-        return float(h)
 
     def _corner_coords(self):
         v = self.vertices[self.triangles]
@@ -325,18 +318,11 @@ def shape_regularity(mesh: TriMesh) -> float:
 def dump_mesh(mesh: TriMesh, file) -> None:
     """Write a plain-text mesh dump: one 'vertex x y flag' line per vertex
     followed by one 'triangle i j k' line per triangle."""
-    close = False
-    if isinstance(file, (str, bytes)):
-        file = open(file, "w")
-        close = True
-    try:
+    with _text_file(file, "w") as fh:
         for (x, y), f in zip(mesh.vertices, mesh.node_flags):
-            file.write(f"vertex {float(x)!r} {float(y)!r} {FLAG_NAMES[int(f)]}\n")
+            fh.write(f"vertex {float(x)!r} {float(y)!r} {FLAG_NAMES[int(f)]}\n")
         for i, j, k in mesh.triangles:
-            file.write(f"triangle {i} {j} {k}\n")
-    finally:
-        if close:
-            file.close()
+            fh.write(f"triangle {i} {j} {k}\n")
 
 
 def ancestor_elements(coarse: TriMesh, fine: TriMesh) -> np.ndarray:

@@ -79,6 +79,15 @@ def test_kappa_dump_load_roundtrip(tmp_path):
     assert np.array_equal(k2.values, k.values)
 
 
+def test_kappa_dump_load_roundtrip_through_path(tmp_path):
+    k = asm.kappa_random_grid(2 ** -3, 0.1, 1.0, seed=6)
+    path = tmp_path / "kappa.txt"
+    asm.dump_kappa(k, path)
+    k2 = asm.load_kappa(path)
+    assert k2.epsilon == k.epsilon
+    assert np.array_equal(k2.values, k.values)
+
+
 def test_stripes_rasterization_exact():
     k = asm.kappa_stripes(7, 2 ** -5, 1.0, 1e-2)
     g = k.to_grid(2 ** -6)

@@ -206,3 +206,23 @@ def test_cli_error_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("section, line, named", [
+    ("experiment", "outptu = mine.csv", "outptu"),
+    ("solver", "substep = 8", "substep"),
+    ("kapa", "epsilon = 2^-2", "kapa"),
+    ("experiment", "domain = u_shape", "u_shape"),
+    ("solver", "compress_tol = 1", "compress_tol"),
+])
+def test_cli_rejects_bad_config(tmp_path, capsys, section, line, named):
+    path = write_cli_config(tmp_path)
+    text = path.read_text()
+    header = f"[{section}]\n"
+    path.write_text(text.replace(header, header + line + "\n")
+                    if header in text else text + header + line + "\n")
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "cli.csv").exists()

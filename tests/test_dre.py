@@ -79,7 +79,7 @@ def test_exp_f_time_zero_is_identity():
 def test_exp_f_scalar_decay():
     # no output term: pure propagation x -> exp(-2 t a / m) x
     system = scalar_system(m=2.0, a=3.0, c=0.0, q=0.0)
-    cfg = SolverConfig(T=1.0, n_t=1, substeps=256, quad_nodes=1)
+    cfg = SolverConfig(T=1.0, n_t=1, substeps=256)
     F = LowRankFactor(np.array([[1.0]]), np.array([[0.9]]))
     t = 0.5
     out = apply_exp_F(t, F, system, cfg)
@@ -89,9 +89,9 @@ def test_exp_f_scalar_decay():
 
 def test_exp_f_gramian_only():
     system = small_system()
-    cfg = SolverConfig(T=1.0, n_t=8, substeps=4, quad_nodes=3)
+    cfg = SolverConfig(T=1.0, n_t=8, substeps=4)
     out = apply_exp_F(cfg.tau / 2, zero_factor(system.n), system, cfg)
-    nodes = cfg.stage_substeps + 1
+    nodes = cfg.substeps + 1
     assert 0 < out.rank <= nodes * system.p
     lam = np.linalg.eigvalsh(out.D)
     assert lam.min() >= -1e-12 * lam.max()
@@ -119,8 +119,7 @@ def test_exp_f_semigroup_composition():
 def test_strang_scalar_against_closed_form_subflows():
     m, a, b, c, q, rho = 1.0, 2.0, 1.5, 0.8, 1.0, 1.0
     system = scalar_system(m, a, b, c, q, rho)
-    cfg = SolverConfig(T=1.0, n_t=1, substeps=512, quad_nodes=1,
-                       compress_tol=0.0)
+    cfg = SolverConfig(T=1.0, n_t=1, substeps=512, compress_tol=0.0)
     tau = 0.1
     lam = 2 * a / m
     gram = c * c * q / (m * m)
@@ -185,6 +184,21 @@ def test_solution_stays_psd():
             assert lam.min() >= -1e-10 * max(lam.max(), 1e-300)
     assert len(sol.rank_history) == cfg.n_t + 1
     assert sol.timings["total"] > 0
+
+
+def test_solve_is_repeated_strang_steps():
+    system = small_system(level=1, seed=54)
+    cfg = SolverConfig(T=1.0, n_t=16, substeps=2)
+    sol = solve_dre(system, zero_factor(system.n), cfg)
+    cache = FlowCache(system, cfg)
+    X = compress(zero_factor(system.n), cfg.compress_tol)
+    ranks = [X.rank]
+    for _ in range(cfg.n_t):
+        X = strang_step(cfg.tau, X, system, cfg, cache)
+        ranks.append(X.rank)
+    assert np.array_equal(sol.final.L, X.L)
+    assert np.array_equal(sol.final.D, X.D)
+    assert sol.rank_history == ranks
 
 
 def test_solver_deterministic():
@@ -271,3 +285,5 @@ def test_config_validation():
         SolverConfig(substeps=0)
     with pytest.raises(ValueError):
         SolverConfig(compress_tol=-1e-3)
+    with pytest.raises(ValueError, match="compress_tol"):
+        SolverConfig(compress_tol=1.0)

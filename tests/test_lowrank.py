@@ -176,3 +176,12 @@ def test_factor_dump_roundtrip():
     F2 = lr.load_factor(buf)
     assert np.array_equal(F2.L, F.L)
     assert np.array_equal(F2.D, F.D)
+
+
+def test_factor_dump_roundtrip_through_path(tmp_path):
+    F = random_sym_factor(7, 3, seed=19)
+    path = tmp_path / "factor.txt"
+    lr.dump_factor(F, path)
+    F2 = lr.load_factor(path)
+    assert np.array_equal(F2.L, F.L)
+    assert np.array_equal(F2.D, F.D)

@@ -186,6 +186,15 @@ def test_mesh_dump_roundtrip_counts():
     assert vlines[0].split()[3] in mm.FLAG_NAMES.values()
 
 
+def test_mesh_dump_to_path_matches_stream(tmp_path):
+    m = mm.refine_uniform(mm.build_base_mesh(mm.l_shape()))
+    buf = io.StringIO()
+    mm.dump_mesh(m, buf)
+    path = tmp_path / "mesh.txt"
+    mm.dump_mesh(m, path)
+    assert path.read_text() == buf.getvalue()
+
+
 def test_mesh_immutable():
     m = mm.build_base_mesh(mm.unit_square())
     with pytest.raises(ValueError):
