@@ -136,13 +136,13 @@ def load_kappa(file) -> CoefficientField:
 
 # -- P1 assembly ------------------------------------------------------------
 
-def _p1_geometry(mesh: TriMesh):
+def _p1_geometry(mesh: TriMesh, triangles=None):
     """Signed areas and the hat gradient coefficients b, c per triangle.
 
     grad(phi_i) = (b_i, c_i) / (2 area) with b_i = y_{i+1} - y_{i+2} and
     c_i = x_{i+2} - x_{i+1} (cyclic local indices).
     """
-    v = mesh.vertices[mesh.triangles]
+    v = mesh.vertices[mesh.triangles if triangles is None else triangles]
     x, y = v[:, :, 0], v[:, :, 1]
     b = np.roll(y, -1, axis=1) - np.roll(y, -2, axis=1)
     c = np.roll(x, -2, axis=1) - np.roll(x, -1, axis=1)
@@ -150,16 +150,11 @@ def _p1_geometry(mesh: TriMesh):
     return area, b, c
 
 
-def _restrict(full: sp.csr_matrix, mesh: TriMesh, all_nodes: bool,
-              axis="both") -> sp.csr_matrix:
+def _restrict(full: sp.csr_matrix, mesh: TriMesh,
+              all_nodes: bool) -> sp.csr_matrix:
     if all_nodes:
         return full
-    free = mesh.free_nodes
-    if axis == "rows":
-        return full[free]
-    if axis == "cols":
-        return full[:, free]
-    return full[free][:, free]
+    return full[mesh.free_nodes][:, mesh.free_nodes]
 
 
 def _accumulate(triangles, n, local_vals):
@@ -198,10 +193,8 @@ def assemble_stiffness(mesh: TriMesh, kappa: CoefficientField,
 
 def _stiffness_on(mesh, kappa, tri_ids):
     """Full-size stiffness assembled over a subset of triangles (or all)."""
-    area, b, c = _p1_geometry(mesh)
-    T = mesh.triangles
-    if tri_ids is not None:
-        area, b, c, T = area[tri_ids], b[tri_ids], c[tri_ids], T[tri_ids]
+    T = mesh.triangles if tri_ids is None else mesh.triangles[tri_ids]
+    area, b, c = _p1_geometry(mesh, T)
     centroids = mesh.vertices[T].mean(axis=1)
     scale = kappa.values_at(centroids) / (4.0 * area)
     local = [[scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j])

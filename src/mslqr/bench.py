@@ -264,12 +264,12 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceRecord:
 def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
     say = log if log is not None else (lambda msg: None)
 
+    kappa = build_kappa(cfg)       # a bad [kappa] fails before any mesh
     domain = mesh_mod.DOMAINS[cfg.domain_kind]()
     chain = [build_base_mesh(domain)]
     for _ in range(cfg.j_ref):
         chain.append(refine_uniform(chain[-1]))
     fine = chain[cfg.j_ref]
-    kappa = build_kappa(cfg)
     system = build_system(fine, kappa, cfg.domain_kind)
     say(f"reference level {cfg.j_ref}: n = {system.n}")
 

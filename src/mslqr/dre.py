@@ -163,6 +163,7 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
     """Integrate the Riccati equation from X0 over [0, T] with n_t Strang
     steps.  Checkpoints (one factor per step, including the initial one)
     are stored only on request; they are needed for closed-loop simulation.
+    A NaN or Inf raises FloatingPointError, naming the failing step.
     """
     if X0.n != system.n:
         raise ValueError("initial factor does not match the system size")
@@ -174,7 +175,11 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
         ranks = [X.rank]
         cps = [X.copy()] if store_checkpoints else None
         for j in range(cfg.n_t):
-            X = strang_step(cfg.tau, X, system, cfg, cache)
+            try:
+                X = strang_step(cfg.tau, X, system, cfg, cache)
+            except FloatingPointError as exc:
+                raise FloatingPointError(
+                    f"Strang step {j + 1} of {cfg.n_t}: {exc}") from exc
             ranks.append(X.rank)
             if store_checkpoints:
                 cps.append(X.copy())

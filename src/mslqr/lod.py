@@ -20,7 +20,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (CoefficientField, LqrSystem, _stiffness_on,
                        assemble_mass, assemble_stiffness, restrict_system)
-from .mesh import TriMesh, ancestor_elements, lineage, prolongation
+from .mesh import TriMesh, descendant_triangles, prolongation
 from .runtime import single_thread_blas
 
 
@@ -28,11 +28,10 @@ def clement_interpolation(fine: TriMesh, coarse: TriMesh,
                           all_nodes: bool = False) -> sp.csr_matrix:
     """Mass-weighted nodal averaging onto the coarse space.
 
-    Row z maps a fine coefficient vector v to
-    (I_H v)(z) = <v, phi_z^H> / <1, phi_z^H>.  By default rows run over the
-    free coarse nodes and columns over the free fine nodes.
+    Row z maps a fine coefficient vector v to <v, phi_z^H> / <1, phi_z^H>.
+    By default rows run over the free coarse nodes and columns over the
+    free fine nodes.
     """
-    lineage(coarse, fine)
     P = prolongation(coarse, fine, all_nodes=True)
     Mf = assemble_mass(fine, all_nodes=True)
     W = (P.T @ Mf).tocsr()
@@ -83,21 +82,17 @@ def default_patch_radius(coarse: TriMesh) -> int:
 class _Workspace:
     """Shared immutable data for all corrector solves of one mesh pair."""
 
-    def __init__(self, fine, coarse, kappa, system=None, I_H=None):
+    def __init__(self, fine, coarse, kappa, system=None):
         self.fine = fine
         self.coarse = coarse
         self.kappa = kappa
         self.P_full = prolongation(coarse, fine, all_nodes=True)
         self.P_free = self.P_full[fine.free_nodes][:, coarse.free_nodes].tocsr()
-        self.I_free = (I_H if I_H is not None
-                       else clement_interpolation(fine, coarse)).tocsr()
+        self.I_free = clement_interpolation(fine, coarse)
         self.S_free = (system.S if system is not None
                        else assemble_stiffness(fine, kappa)).tocsr()
-        self.anc = ancestor_elements(coarse, fine)
-        self.inc_fine = _element_incidence(fine)
         self.inc_coarse = _element_incidence(coarse)
-        self.free_mask = np.zeros(fine.n_vertices, dtype=bool)
-        self.free_mask[fine.free_nodes] = True
+        self.valence = np.bincount(fine.triangles.ravel())  # per vertex
         self.free_index = np.full(fine.n_vertices, -1, dtype=np.int64)
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
         self.coarse_free_index = np.full(coarse.n_vertices, -1, dtype=np.int64)
@@ -108,20 +103,19 @@ class _Workspace:
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
 
     def patch_dofs(self, patch):
-        """Free fine vertices strictly interior to the patch."""
-        patch_mask = np.zeros(self.coarse.n_triangles, dtype=bool)
-        patch_mask[patch] = True
-        tri_mask = patch_mask[self.anc]
-        inside = (self.inc_fine @ tri_mask) > 0
-        outside = (self.inc_fine @ (~tri_mask)) > 0
-        return np.nonzero(inside & ~outside & self.free_mask)[0]
+        """Free fine vertices strictly interior to the patch: every fine
+        triangle around them lies in the patch."""
+        tri_ids = descendant_triangles(self.coarse, self.fine, patch)
+        verts, counts = np.unique(self.fine.triangles[tri_ids],
+                                  return_counts=True)
+        inside = verts[counts == self.valence[verts]]
+        return inside[self.free_index[inside] >= 0]
 
     def element_rhs(self, K, verts):
         """Columns int_K kappa grad(phi_z).grad(phi_i) at fine vertices."""
-        tri_ids = np.nonzero(self.anc == K)[0]
+        tri_ids = descendant_triangles(self.coarse, self.fine, K)
         SK = _stiffness_on(self.fine, self.kappa, tri_ids)
-        cols = self.P_full[:, verts]
-        return (SK @ cols).toarray()
+        return (SK @ self.P_full[:, verts]).toarray()
 
 
 def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
@@ -161,33 +155,36 @@ def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
 
 @dataclass
 class LodBasis:
-    """Corrected coarse basis and the corrected system matrices.
+    """Corrected coarse basis and the corrected system.
 
     Rh maps corrected-coarse coefficients to fine coefficients; it has one
-    column per free coarse node.  The corrected matrices are the triple
-    products of the fine ones with Rh.
+    column per free coarse node.  The corrected system is the Galerkin
+    restriction of the fine one through Rh (weights Q and R unchanged).
     """
 
     k: int
     Rh: sp.csr_matrix
-    M_ms: sp.csr_matrix
-    S_ms: sp.csr_matrix
-    B_ms: np.ndarray
-    C_ms: np.ndarray
+    ms: LqrSystem
     stats: dict = field(default_factory=dict)
 
-    @property
-    def n_coarse(self) -> int:
-        return self.Rh.shape[1]
+    @classmethod
+    def restrict(cls, k, Rh, system: LqrSystem, stats) -> "LodBasis":
+        """Basis Rh together with the restriction of ``system`` through it."""
+        return cls(k, Rh, restrict_system(system, Rh), stats)
+
+    n_coarse = property(lambda self: self.Rh.shape[1])
+    M_ms = property(lambda self: self.ms.M)
+    S_ms = property(lambda self: self.ms.S)
+    B_ms = property(lambda self: self.ms.B)
+    C_ms = property(lambda self: self.ms.C)
 
     def system(self) -> LqrSystem:
         """Corrected-space LQR system ready for the Riccati solver."""
-        return LqrSystem(M=self.M_ms, S=self.S_ms, B=self.B_ms, C=self.C_ms)
+        return self.ms
 
 
 def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
                     k: int, system: LqrSystem,
-                    I_H: sp.spmatrix | None = None,
                     workers: int = 1) -> LodBasis:
     """Assemble the corrected basis Rh = prolongation - sum of correctors
     and the corrected matrices, solving one local problem per element.
@@ -199,11 +196,11 @@ def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
     if k < 1:
         raise ValueError("corrector patches need at least one layer")
     with single_thread_blas():
-        return _build_lod_basis(fine, coarse, kappa, k, system, I_H, workers)
+        return _build_lod_basis(fine, coarse, kappa, k, system, workers)
 
 
-def _build_lod_basis(fine, coarse, kappa, k, system, I_H, workers):
-    ws = _Workspace(fine, coarse, kappa, system=system, I_H=I_H)
+def _build_lod_basis(fine, coarse, kappa, k, system, workers):
+    ws = _Workspace(fine, coarse, kappa, system=system)
 
     def solve_one(K):
         patch = patch_elements(coarse, K, k, incidence=ws.inc_coarse)
@@ -230,30 +227,27 @@ def _build_lod_basis(fine, coarse, kappa, k, system, I_H, workers):
                           shape=(fine.n_free, coarse.n_free)).tocsr()
     else:
         Q = sp.csr_matrix((fine.n_free, coarse.n_free))
-    Rh = (ws.P_free - Q).tocsr()
-    ms = restrict_system(system, Rh)
     stats = {"n_elements": coarse.n_triangles,
              "patch_elements_min": int(min(patch_sizes)),
              "patch_elements_max": int(max(patch_sizes))}
-    return LodBasis(k, Rh, ms.M, ms.S, ms.B, ms.C, stats)
+    return LodBasis.restrict(k, (ws.P_free - Q).tocsr(), system, stats)
 
 
 def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
-                           kappa: CoefficientField, system: LqrSystem,
-                           I_H: sp.spmatrix | None = None) -> LodBasis:
+                           kappa: CoefficientField,
+                           system: LqrSystem) -> LodBasis:
     """Unlocalized construction: one constrained solve over the whole fine
     space with every coarse constraint row.  Reference for testing the
     localized assembly at saturation."""
-    ws = _Workspace(fine, coarse, kappa, system=system, I_H=I_H)
+    ws = _Workspace(fine, coarse, kappa, system=system)
     n, nH = fine.n_free, coarse.n_free
     saddle = sp.bmat([[ws.S_free, ws.I_free.T], [ws.I_free, None]],
                      format="csc")
     lu = splu(saddle)
     rhs = np.vstack([(ws.S_free @ ws.P_free).toarray(), np.zeros((nH, nH))])
     Q = lu.solve(rhs)[:n]
-    Rh = sp.csr_matrix(ws.P_free - Q)
-    ms = restrict_system(system, Rh)
-    return LodBasis(-1, Rh, ms.M, ms.S, ms.B, ms.C, {"global": True})
+    return LodBasis.restrict(-1, sp.csr_matrix(ws.P_free - Q), system,
+                             {"global": True})
 
 
 def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
@@ -331,5 +325,4 @@ def load_lod_basis(path, system: LqrSystem, fine=None, coarse=None,
         expected = repr(basis_fingerprints(fine, coarse, kappa))
         if stored != expected:
             raise ValueError("saved basis does not match the given inputs")
-    ms = restrict_system(system, Rh)
-    return LodBasis(k, Rh, ms.M, ms.S, ms.B, ms.C, {"loaded": True})
+    return LodBasis.restrict(k, Rh, system, {"loaded": True})

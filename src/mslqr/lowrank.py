@@ -56,7 +56,8 @@ def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
 
     The represented operator changes by at most the sum of the dropped
     |lambda| in spectral norm.  Kept columns are returned orthonormal with
-    a diagonal D sorted by decreasing magnitude.
+    a diagonal D sorted by decreasing magnitude.  A NaN or Inf in the
+    factor raises FloatingPointError.
     """
     if tol < 0:
         raise ValueError("compression tolerance must be nonnegative")
@@ -64,6 +65,8 @@ def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
         return F.copy()
     Q, R = sla.qr(F.L, mode="economic", check_finite=False)
     core = R @ F.D @ R.T
+    if not np.isfinite(core).all():
+        raise FloatingPointError("compress: non-finite entries in the factor")
     lam, W = np.linalg.eigh(0.5 * (core + core.T))
     amax = np.abs(lam).max()
     if amax == 0.0:

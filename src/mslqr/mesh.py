@@ -325,7 +325,12 @@ def dump_mesh(mesh: TriMesh, file) -> None:
             fh.write(f"triangle {i} {j} {k}\n")
 
 
-def ancestor_elements(coarse: TriMesh, fine: TriMesh) -> np.ndarray:
-    """Coarse element owning each fine triangle (via the 4-children rule)."""
-    steps = len(lineage(coarse, fine)) - 1
-    return np.arange(fine.n_triangles, dtype=np.int64) // 4 ** steps
+def descendant_triangles(coarse: TriMesh, fine: TriMesh,
+                         elements) -> np.ndarray:
+    """Ids of the fine triangles inside the given coarse elements: by the
+    4-children rule one contiguous range per element, in the given order."""
+    n = 4 ** (len(lineage(coarse, fine)) - 1)
+    elements = np.atleast_1d(np.asarray(elements, dtype=np.int64))
+    if not ((0 <= elements) & (elements < coarse.n_triangles)).all():
+        raise ValueError("coarse element id out of range")
+    return (elements[:, None] * n + np.arange(n)).ravel()

@@ -200,8 +200,7 @@ def test_criterion_5_lod_structural_suite():
     system = build_system(fine, kappa, "unit_square")
     I_free = lod.clement_interpolation(fine, coarse)
     basis = lod.build_lod_basis(fine, coarse, kappa,
-                                lod.default_patch_radius(coarse), system,
-                                I_H=I_free)
+                                lod.default_patch_radius(coarse), system)
     P_free = mm.prolongation(coarse, fine)
     kdef = np.abs(I_free @ (P_free - basis.Rh)).max() / np.abs(basis.Rh).max()
     assert kdef <= 1e-10
@@ -210,8 +209,7 @@ def test_criterion_5_lod_structural_suite():
     coarse, fine = chain[3], chain[6]
     system = build_system(fine, kappa, "unit_square")
     I_free = lod.clement_interpolation(fine, coarse)
-    glob = lod.global_corrector_basis(fine, coarse, kappa, system,
-                                      I_H=I_free)
+    glob = lod.global_corrector_basis(fine, coarse, kappa, system)
     P_free = mm.prolongation(coarse, fine)
     kdef_g = (np.abs(I_free @ (P_free - glob.Rh)).max()
               / np.abs(glob.Rh).max())

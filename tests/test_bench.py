@@ -214,8 +214,14 @@ def test_cli_error_exit_code(tmp_path, capsys):
     ("kapa", "epsilon = 2^-2", "kapa"),
     ("experiment", "domain = u_shape", "u_shape"),
     ("solver", "compress_tol = 1", "compress_tol"),
+    ("kappa", "type = stripe", "stripe"),
 ])
-def test_cli_rejects_bad_config(tmp_path, capsys, section, line, named):
+def test_cli_rejects_bad_config(tmp_path, capsys, monkeypatch, section, line,
+                                named):
+    def no_mesh(domain):
+        raise AssertionError("a mesh was built before the config was checked")
+
+    monkeypatch.setattr("mslqr.bench.build_base_mesh", no_mesh)
     path = write_cli_config(tmp_path)
     text = path.read_text()
     header = f"[{section}]\n"

@@ -276,6 +276,19 @@ def test_solver_rejects_mismatched_factor():
         strang_step(0.0, zero_factor(system.n), system, cfg)
 
 
+def test_non_finite_values_raise():
+    system = small_system()
+    cfg = SolverConfig(T=0.1, n_t=4, substeps=2)
+    X0 = LowRankFactor(np.full((system.n, 1), np.nan), np.eye(1))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        solve_dre(system, X0, cfg)
+    # a NaN output weight first shows in the output Gramian of step 1
+    bad = asm.LqrSystem(M=system.M, S=system.S, B=system.B, C=system.C,
+                        Q=np.nan)
+    with pytest.raises(FloatingPointError, match="Strang step 1 of 4"):
+        solve_dre(bad, zero_factor(system.n), cfg)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(T=0.0)

@@ -106,6 +106,45 @@ def test_patch_saturates(small):
     assert patch.size == coarse.n_triangles
 
 
+def reference_patch_dofs(coarse, fine, patch):
+    """Free fine vertices touched by patch triangles and by no other
+    triangle, through full vertex-to-triangle incidence matrices."""
+    steps = len(mm.lineage(coarse, fine)) - 1
+    anc = np.arange(fine.n_triangles) // 4 ** steps
+    inc = lod._element_incidence(fine)
+    tri_mask = np.isin(anc, patch)
+    inside = (inc @ tri_mask) > 0
+    outside = (inc @ ~tri_mask) > 0
+    free = np.zeros(fine.n_vertices, dtype=bool)
+    free[fine.free_nodes] = True
+    return np.nonzero(inside & ~outside & free)[0]
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_patch_dofs_match_incidence_reference(domain):
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    ws = lod._Workspace(fine, coarse, asm.kappa_constant(1.0))
+    for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
+        for k in (1, 2, 3):
+            patch = lod.patch_elements(coarse, K, k)
+            assert np.array_equal(ws.patch_dofs(patch),
+                                  reference_patch_dofs(coarse, fine, patch))
+
+
+def test_element_rhs_matches_ancestor_rule(small):
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    ws = lod._Workspace(fine, coarse, kappa)
+    steps = len(mm.lineage(coarse, fine)) - 1
+    anc = np.arange(fine.n_triangles) // 4 ** steps
+    P_full = mm.prolongation(coarse, fine, all_nodes=True)
+    for K in (0, 7, coarse.n_triangles - 1):
+        verts = coarse.triangles[K]
+        SK = asm._stiffness_on(fine, kappa, np.nonzero(anc == K)[0])
+        expected = (SK @ P_full[:, verts]).toarray()
+        assert np.array_equal(ws.element_rhs(K, verts), expected)
+
+
 # -- correctors ----------------------------------------------------------
 
 def test_corrector_columns_local_and_in_kernel(small):
@@ -131,7 +170,7 @@ def test_corrector_energy_bound(small):
     patch = lod.patch_elements(coarse, K, 2)
     dof_free, cols, hats = lod._solve_patch(ws, K, patch)
     hat_verts = coarse.triangles[K][ws.coarse_free_index[coarse.triangles[K]] >= 0]
-    tri_ids = np.nonzero(ws.anc == K)[0]
+    tri_ids = mm.descendant_triangles(coarse, fine, K)
     SK = asm._stiffness_on(fine, kappa, tri_ids)
     P_full = mm.prolongation(coarse, fine, all_nodes=True)
     for j, z in enumerate(hat_verts):
@@ -180,7 +219,7 @@ def test_kernel_property(small):
     coarse, fine = small["coarse"], small["fine"]
     I_free = lod.clement_interpolation(fine, coarse)
     basis = lod.build_lod_basis(fine, coarse, small["kappa"], k=2,
-                                system=small["system"], I_H=I_free)
+                                system=small["system"])
     P_free = mm.prolongation(coarse, fine)
     defect = np.abs(I_free @ (P_free - basis.Rh)).max()
     assert defect <= 1e-10 * abs(basis.Rh).max()
@@ -267,6 +306,21 @@ def test_default_patch_radius():
     chain = mesh_chain(3)
     assert lod.default_patch_radius(chain[0]) == 1
     assert lod.default_patch_radius(chain[3]) == 4
+
+
+def test_weights_carry_over_to_every_basis(tmp_path, small):
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    s = small["system"]
+    R = 3.0 * np.eye(s.m)
+    system = asm.LqrSystem(M=s.M, S=s.S, B=s.B, C=s.C, Q=2.0, R=R)
+    local = lod.build_lod_basis(fine, coarse, kappa, 1, system)
+    path = tmp_path / "basis.npz"
+    lod.save_lod_basis(local, path)
+    for basis in (local,
+                  lod.global_corrector_basis(fine, coarse, kappa, system),
+                  lod.load_lod_basis(path, system)):
+        assert np.array_equal(basis.system().Q, [[2.0]])
+        assert np.array_equal(basis.system().R, R)
 
 
 def test_basis_save_load_roundtrip(tmp_path, small):

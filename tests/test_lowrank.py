@@ -34,6 +34,16 @@ def test_compress_idempotent_on_clean_factor():
     assert (np.diff(d) <= 1e-15).all()
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("where", ["L", "D"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_compress_rejects_non_finite_factors(where, bad):
+    F = random_psd_factor(20, 4, seed=3)
+    getattr(F, where)[1, 1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        lr.compress(F, 1e-10)
+
+
 def test_compress_duplicate_columns_drop_rank():
     rng = np.random.default_rng(2)
     col = rng.standard_normal((20, 1))

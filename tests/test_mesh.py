@@ -159,19 +159,28 @@ def test_shape_regularity_invariant_under_refinement():
     assert mm.shape_regularity(refine_times(m, 2)) == pytest.approx(g0, rel=1e-12)
 
 
-def test_ancestor_elements():
+def test_descendant_triangles():
     m0 = mm.build_base_mesh(mm.unit_square())
     m2 = refine_times(m0, 2)
-    anc = mm.ancestor_elements(m0, m2)
-    assert anc.shape == (m2.n_triangles,)
-    assert np.array_equal(np.unique(anc), np.arange(m0.n_triangles))
+    ids = [mm.descendant_triangles(m0, m2, t) for t in range(m0.n_triangles)]
+    # the descendants partition the fine mesh, 16 per element, in order
+    assert {i.size for i in ids} == {16}
+    assert np.array_equal(np.concatenate(ids), np.arange(m2.n_triangles))
+    assert np.array_equal(mm.descendant_triangles(m0, m2, [2, 0]),
+                          np.concatenate([ids[2], ids[0]]))
+    assert np.array_equal(mm.descendant_triangles(m0, m0, 3), [3])
     # every fine triangle is geometrically inside its ancestor
     cf = m2.vertices[m2.triangles].mean(axis=1)
     for t in range(m0.n_triangles):
         tri = m0.vertices[m0.triangles[t]]
         lo, hi = tri.min(axis=0), tri.max(axis=0)
-        pts = cf[anc == t]
+        pts = cf[ids[t]]
         assert (pts >= lo - 1e-12).all() and (pts <= hi + 1e-12).all()
+    for bad in (-1, m0.n_triangles):
+        with pytest.raises(ValueError):
+            mm.descendant_triangles(m0, m2, bad)
+    with pytest.raises(ValueError):
+        mm.descendant_triangles(m2, m0, 0)
 
 
 def test_mesh_dump_roundtrip_counts():
