@@ -158,8 +158,8 @@ def _restrict(full: sp.csr_matrix, mesh: TriMesh,
 
 
 def _accumulate(triangles, n, local_vals):
-    """Sum 3x3 local element matrices over the given triangles into a
-    global n x n sparse matrix."""
+    """Sum 3x3 local element matrices over the given triangles (rows of
+    vertex ids below n) into an n x n sparse matrix."""
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -188,18 +188,18 @@ def assemble_stiffness(mesh: TriMesh, kappa: CoefficientField,
     The coefficient is sampled at triangle centroids.  The evolution
     operator of the state equation is -S.
     """
-    return _restrict(_stiffness_on(mesh, kappa, None), mesh, all_nodes)
+    E = _element_stiffness(mesh, kappa, mesh.triangles)
+    return _restrict(_accumulate(mesh.triangles, mesh.n_vertices, E),
+                     mesh, all_nodes)
 
 
-def _stiffness_on(mesh, kappa, tri_ids):
-    """Full-size stiffness assembled over a subset of triangles (or all)."""
-    T = mesh.triangles if tri_ids is None else mesh.triangles[tri_ids]
+def _element_stiffness(mesh, kappa, T):
+    """P1 stiffness values of the triangles T (rows of vertex ids), as a
+    3 x 3 x len(T) array: entry [i, j, t] couples local hats i and j of t."""
     area, b, c = _p1_geometry(mesh, T)
-    centroids = mesh.vertices[T].mean(axis=1)
-    scale = kappa.values_at(centroids) / (4.0 * area)
-    local = [[scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j])
-              for j in range(3)] for i in range(3)]
-    return _accumulate(T, mesh.n_vertices, local)
+    scale = kappa.values_at(mesh.vertices[T].mean(axis=1)) / (4.0 * area)
+    return np.array([[scale * (b[:, i] * b[:, j] + c[:, i] * c[:, j])
+                      for j in range(3)] for i in range(3)])
 
 
 def _clip_axis(poly, axis, bound, keep_below):

@@ -136,14 +136,20 @@ def strang_step(tau: float, F: LowRankFactor, system: LqrSystem,
                 cfg: SolverConfig, cache: FlowCache | None = None
                 ) -> LowRankFactor:
     """One step exp(tau/2 F) exp(tau G) exp(tau/2 F), compressed between
-    the stages."""
+    the stages.  A NaN or Inf raises FloatingPointError naming the stage."""
     if tau <= 0:
         raise ValueError("step size must be positive")
     if cache is None:
         cache = FlowCache(system, cfg)
-    Y = apply_exp_F(0.5 * tau, F, system, cfg, cache)
-    Y = compress(apply_exp_G(tau, Y, system.B, system.R), cfg.compress_tol)
-    return apply_exp_F(0.5 * tau, Y, system, cfg, cache)
+    stage = "first affine half-step"
+    try:
+        Y = apply_exp_F(0.5 * tau, F, system, cfg, cache)
+        stage = "quadratic flow"
+        Y = compress(apply_exp_G(tau, Y, system.B, system.R), cfg.compress_tol)
+        stage = "second affine half-step"
+        return apply_exp_F(0.5 * tau, Y, system, cfg, cache)
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"{stage}: {exc}") from exc
 
 
 @dataclass
@@ -163,7 +169,8 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
     """Integrate the Riccati equation from X0 over [0, T] with n_t Strang
     steps.  Checkpoints (one factor per step, including the initial one)
     are stored only on request; they are needed for closed-loop simulation.
-    A NaN or Inf raises FloatingPointError, naming the failing step.
+    A NaN or Inf raises FloatingPointError, naming the failing step and
+    its stage.
     """
     if X0.n != system.n:
         raise ValueError("initial factor does not match the system size")
@@ -179,7 +186,7 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
                 X = strang_step(cfg.tau, X, system, cfg, cache)
             except FloatingPointError as exc:
                 raise FloatingPointError(
-                    f"Strang step {j + 1} of {cfg.n_t}: {exc}") from exc
+                    f"Strang step {j + 1} of {cfg.n_t}, {exc}") from exc
             ranks.append(X.rank)
             if store_checkpoints:
                 cps.append(X.copy())

@@ -18,8 +18,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (CoefficientField, LqrSystem, _stiffness_on,
-                       assemble_mass, assemble_stiffness, restrict_system)
+from .assembly import (CoefficientField, LqrSystem, _accumulate,
+                       _element_stiffness, assemble_mass, assemble_stiffness,
+                       restrict_system)
 from .mesh import TriMesh, descendant_triangles, prolongation
 from .runtime import single_thread_blas
 
@@ -42,18 +43,8 @@ def clement_interpolation(fine: TriMesh, coarse: TriMesh,
     return I[coarse.free_nodes][:, fine.free_nodes].tocsr()
 
 
-def _element_incidence(mesh: TriMesh) -> sp.csr_matrix:
-    """Vertex-to-triangle incidence (n_vertices x n_triangles, 0/1)."""
-    nt = mesh.n_triangles
-    rows = mesh.triangles.ravel()
-    cols = np.repeat(np.arange(nt), 3)
-    return sp.csr_matrix((np.ones(3 * nt), (rows, cols)),
-                         shape=(mesh.n_vertices, nt))
-
-
-def patch_elements(coarse: TriMesh, K: int, k: int,
-                   incidence: sp.csr_matrix | None = None) -> np.ndarray:
-    """Sorted ids of the k-layer element patch around element K.
+def patch_elements(coarse: TriMesh, K: int, k: int) -> np.ndarray:
+    """Sorted ids (int64) of the k-layer element patch around element K.
 
     Layer 0 is {K}; each further layer adds every element sharing at least
     a vertex with the current patch.  Saturates at the full mesh.
@@ -62,16 +53,22 @@ def patch_elements(coarse: TriMesh, K: int, k: int,
         raise ValueError("patch radius must be nonnegative")
     if not 0 <= K < coarse.n_triangles:
         raise ValueError(f"element id {K} out of range")
-    inc = incidence if incidence is not None else _element_incidence(coarse)
-    mask = np.zeros(coarse.n_triangles, dtype=bool)
-    mask[K] = True
+    vt = coarse.vertex_triangles
+    in_patch = np.zeros(coarse.n_triangles, dtype=bool)
+    in_patch[K] = True
+    new = np.array([K])
     for _ in range(k):
-        verts = (inc @ mask) > 0
-        grown = (inc.T @ verts) > 0
-        if (grown == mask).all():
+        # the incidence rows of the last layer's vertices, concatenated
+        verts = np.unique(coarse.triangles[new])
+        starts = vt.indptr[verts]
+        lens = vt.indptr[verts + 1] - starts
+        around = vt.indices[np.repeat(starts - np.cumsum(lens) + lens, lens)
+                            + np.arange(lens.sum())]
+        new = np.unique(around[~in_patch[around]])
+        if new.size == 0:
             break
-        mask = grown
-    return np.nonzero(mask)[0]
+        in_patch[new] = True
+    return np.flatnonzero(in_patch)
 
 
 def default_patch_radius(coarse: TriMesh) -> int:
@@ -85,13 +82,13 @@ class _Workspace:
     def __init__(self, fine, coarse, kappa, system=None):
         self.fine = fine
         self.coarse = coarse
-        self.kappa = kappa
         self.P_full = prolongation(coarse, fine, all_nodes=True)
         self.P_free = self.P_full[fine.free_nodes][:, coarse.free_nodes].tocsr()
         self.I_free = clement_interpolation(fine, coarse)
         self.S_free = (system.S if system is not None
                        else assemble_stiffness(fine, kappa)).tocsr()
-        self.inc_coarse = _element_incidence(coarse)
+        self.element_stiffness = _element_stiffness(fine, kappa,
+                                                    fine.triangles)
         self.valence = np.bincount(fine.triangles.ravel())  # per vertex
         self.free_index = np.full(fine.n_vertices, -1, dtype=np.int64)
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
@@ -102,37 +99,27 @@ class _Workspace:
         zf = self.coarse_free_index[self.coarse.triangles[K]]
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
 
-    def patch_dofs(self, patch):
-        """Free fine vertices strictly interior to the patch: every fine
-        triangle around them lies in the patch."""
-        tri_ids = descendant_triangles(self.coarse, self.fine, patch)
-        verts, counts = np.unique(self.fine.triangles[tri_ids],
-                                  return_counts=True)
-        inside = verts[counts == self.valence[verts]]
-        return inside[self.free_index[inside] >= 0]
-
-    def element_rhs(self, K, verts):
-        """Columns int_K kappa grad(phi_z).grad(phi_i) at fine vertices."""
-        tri_ids = descendant_triangles(self.coarse, self.fine, K)
-        SK = _stiffness_on(self.fine, self.kappa, tri_ids)
-        return (SK @ self.P_full[:, verts]).toarray()
-
 
 def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
     """Corrector columns of element K on a given patch.
 
     Returns (free positions of the patch dofs, dense corrector columns,
     free ids of the coarse hats of K); empty results when K carries no
-    free coarse hat.
+    free coarse hat.  The dofs are the free patch vertices whose fine
+    triangles all lie in the patch; the right-hand side
+    int_K kappa grad(phi_z).grad(phi_i) is assembled over the patch vertices.
     """
     hat_verts, hat_free = ws.free_hats(K)
     if hat_verts.size == 0:
         return np.empty(0, np.int64), np.zeros((0, 0)), hat_free
-    dof_verts = ws.patch_dofs(patch)
-    if dof_verts.size == 0:
+    fine = ws.fine
+    tri_ids = descendant_triangles(ws.coarse, fine, patch)
+    verts, counts = np.unique(fine.triangles[tri_ids], return_counts=True)
+    inside = (counts == ws.valence[verts]) & (ws.free_index[verts] >= 0)
+    if not inside.any():
         raise np.linalg.LinAlgError(
             f"element {K}: patch has no interior fine nodes")
-    dof_free = ws.free_index[dof_verts]
+    dof_free = ws.free_index[verts[inside]]
 
     cverts = np.unique(ws.coarse.triangles[patch])
     c_free = ws.coarse_free_index[cverts]
@@ -147,8 +134,11 @@ def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system") from exc
 
-    rhs_all = ws.element_rhs(K, hat_verts)[dof_verts]
-    rhs = np.vstack([rhs_all, np.zeros((c_free.size, hat_verts.size))])
+    K_ids = descendant_triangles(ws.coarse, fine, K)
+    SK = _accumulate(np.searchsorted(verts, fine.triangles[K_ids]),
+                     verts.size, ws.element_stiffness[:, :, K_ids])
+    rhs_K = (SK @ ws.P_full[verts][:, hat_verts]).toarray()[inside]
+    rhs = np.vstack([rhs_K, np.zeros((c_free.size, hat_verts.size))])
     sol = lu.solve(rhs)
     return dof_free, sol[: dof_free.size], hat_free
 
@@ -203,7 +193,7 @@ def _build_lod_basis(fine, coarse, kappa, k, system, workers):
     ws = _Workspace(fine, coarse, kappa, system=system)
 
     def solve_one(K):
-        patch = patch_elements(coarse, K, k, incidence=ws.inc_coarse)
+        patch = patch_elements(coarse, K, k)
         return patch.size, _solve_patch(ws, K, patch)
 
     if workers > 1:
@@ -263,8 +253,7 @@ def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
     if k_max < 2:
         raise ValueError("profile needs k_max >= 2")
     ws = _Workspace(fine, coarse, kappa)
-    full_patch = patch_elements(coarse, K, coarse.n_triangles,
-                                incidence=ws.inc_coarse)
+    full_patch = patch_elements(coarse, K, coarse.n_triangles)
     dofs_hat, cols_hat, hats = _solve_patch(ws, K, full_patch)
     if hats.size == 0:
         raise ValueError(f"element {K} carries no free coarse hat")
@@ -272,7 +261,7 @@ def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
     qhat[dofs_hat] = cols_hat
     energies = []
     for k in range(1, k_max + 1):
-        patch = patch_elements(coarse, K, k, incidence=ws.inc_coarse)
+        patch = patch_elements(coarse, K, k)
         dofs, cols, _ = _solve_patch(ws, K, patch)
         qk = np.zeros_like(qhat)
         qk[dofs] = cols

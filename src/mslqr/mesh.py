@@ -120,6 +120,7 @@ class TriMesh:
         if self.edge_parents is not None:
             self.edge_parents.setflags(write=False)
         self._free = None
+        self._vertex_triangles = None
 
     @property
     def n_vertices(self) -> int:
@@ -136,6 +137,16 @@ class TriMesh:
             self._free = np.nonzero(self.node_flags != DIRICHLET)[0]
             self._free.setflags(write=False)
         return self._free
+
+    @property
+    def vertex_triangles(self) -> sp.csr_matrix:
+        """Vertex-to-triangle incidence; row v lists the triangles at v."""
+        if self._vertex_triangles is None:
+            n = self.triangles.size
+            self._vertex_triangles = sp.csr_matrix(
+                (np.ones(n), (self.triangles.ravel(), np.arange(n) // 3)),
+                shape=(self.n_vertices, self.n_triangles))
+        return self._vertex_triangles
 
     @property
     def n_free(self) -> int:
@@ -220,9 +231,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     V, T = mesh.vertices, mesh.triangles
     nv = V.shape[0]
 
-    e = np.vstack([T[:, [0, 1]], T[:, [1, 2]], T[:, [2, 0]]])
-    e.sort(axis=1)
-    edges = np.unique(e, axis=0)                    # (min, max) lexicographic
+    edges, counts = _boundary_edges(T)              # (min, max) lexicographic
     keys = edges[:, 0] * nv + edges[:, 1]           # ascending
 
     vertices = np.vstack([V, 0.5 * (V[edges[:, 0]] + V[edges[:, 1]])])
@@ -244,9 +253,7 @@ def refine_uniform(mesh: TriMesh) -> TriMesh:
     # new vertices are interior; old vertices keep their flags
     flags = np.concatenate([mesh.node_flags,
                             np.full(edges.shape[0], INTERIOR, dtype=np.int8)])
-    _, counts = _boundary_edges(T)
-    boundary = counts == 1
-    for i in np.nonzero(boundary)[0]:
+    for i in np.nonzero(counts == 1)[0]:
         x, y = vertices[nv + i]
         flags[nv + i] = mesh.domain.boundary_flag(x, y)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mslqr import assembly as asm
+from mslqr import dre
 from mslqr import mesh as mm
 from mslqr.dre import (FlowCache, SolverConfig, apply_exp_F, simulate_closed_loop,
                        solve_dre, strang_step)
@@ -276,7 +277,7 @@ def test_solver_rejects_mismatched_factor():
         strang_step(0.0, zero_factor(system.n), system, cfg)
 
 
-def test_non_finite_values_raise():
+def test_non_finite_values_raise(monkeypatch):
     system = small_system()
     cfg = SolverConfig(T=0.1, n_t=4, substeps=2)
     X0 = LowRankFactor(np.full((system.n, 1), np.nan), np.eye(1))
@@ -285,8 +286,29 @@ def test_non_finite_values_raise():
     # a NaN output weight first shows in the output Gramian of step 1
     bad = asm.LqrSystem(M=system.M, S=system.S, B=system.B, C=system.C,
                         Q=np.nan)
-    with pytest.raises(FloatingPointError, match="Strang step 1 of 4"):
+    with pytest.raises(FloatingPointError,
+                       match="Strang step 1 of 4, first affine half-step"):
         solve_dre(bad, zero_factor(system.n), cfg)
+
+    # a stage handed a NaN factor is named too
+    def poisoned(F):
+        return LowRankFactor(np.full_like(F.L, np.nan), F.D)
+
+    with monkeypatch.context() as m:
+        m.setattr(dre, "apply_exp_G", lambda t, F, B, R: poisoned(F))
+        with pytest.raises(FloatingPointError,
+                           match="Strang step 1 of 4, quadratic flow"):
+            solve_dre(system, zero_factor(system.n), cfg)
+    real_exp_F, calls = dre.apply_exp_F, []
+
+    def fourth_call_poisoned(t, F, *args):
+        calls.append(t)
+        return real_exp_F(t, poisoned(F) if len(calls) == 4 else F, *args)
+
+    monkeypatch.setattr(dre, "apply_exp_F", fourth_call_poisoned)
+    with pytest.raises(FloatingPointError,
+                       match="Strang step 2 of 4, second affine half-step"):
+        solve_dre(system, zero_factor(system.n), cfg)
 
 
 def test_config_validation():

@@ -106,12 +106,48 @@ def test_patch_saturates(small):
     assert patch.size == coarse.n_triangles
 
 
+def element_incidence(mesh):
+    """Vertex-to-triangle incidence (n_vertices x n_triangles, 0/1)."""
+    nt = mesh.n_triangles
+    rows = mesh.triangles.ravel()
+    cols = np.repeat(np.arange(nt), 3)
+    return sp.csr_matrix((np.ones(3 * nt), (rows, cols)),
+                         shape=(mesh.n_vertices, nt))
+
+
+def reference_patch_elements(inc, K, k):
+    """Patch growth by boolean masks over the whole coarse mesh, given
+    its vertex-to-triangle incidence."""
+    mask = np.zeros(inc.shape[1], dtype=bool)
+    mask[K] = True
+    for _ in range(k):
+        verts = (inc @ mask) > 0
+        grown = (inc.T @ verts) > 0
+        if (grown == mask).all():
+            break
+        mask = grown
+    return np.nonzero(mask)[0]
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_patch_elements_match_mask_reference(domain):
+    for coarse in mesh_chain(3, domain):
+        nt = coarse.n_triangles
+        inc = element_incidence(coarse)
+        for K in range(0, nt, max(1, nt // 100)):
+            for k in (0, 1, 2, 3, nt):
+                patch = lod.patch_elements(coarse, K, k)
+                assert patch.dtype == np.int64
+                assert np.array_equal(patch,
+                                      reference_patch_elements(inc, K, k))
+
+
 def reference_patch_dofs(coarse, fine, patch):
     """Free fine vertices touched by patch triangles and by no other
     triangle, through full vertex-to-triangle incidence matrices."""
     steps = len(mm.lineage(coarse, fine)) - 1
     anc = np.arange(fine.n_triangles) // 4 ** steps
-    inc = lod._element_incidence(fine)
+    inc = element_incidence(fine)
     tri_mask = np.isin(anc, patch)
     inside = (inc @ tri_mask) > 0
     outside = (inc @ ~tri_mask) > 0
@@ -128,21 +164,37 @@ def test_patch_dofs_match_incidence_reference(domain):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
-            assert np.array_equal(ws.patch_dofs(patch),
-                                  reference_patch_dofs(coarse, fine, patch))
+            dof_free, _, hat_free = lod._solve_patch(ws, K, patch)
+            assert hat_free.size > 0
+            expected = reference_patch_dofs(coarse, fine, patch)
+            assert np.array_equal(dof_free, ws.free_index[expected])
 
 
 def test_element_rhs_matches_ancestor_rule(small):
+    # the corrector columns equal, bit for bit, those of the same saddle
+    # system whose right-hand side is assembled over the whole fine mesh
+    # from the ancestor rule
     coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
     ws = lod._Workspace(fine, coarse, kappa)
     steps = len(mm.lineage(coarse, fine)) - 1
     anc = np.arange(fine.n_triangles) // 4 ** steps
     P_full = mm.prolongation(coarse, fine, all_nodes=True)
     for K in (0, 7, coarse.n_triangles - 1):
-        verts = coarse.triangles[K]
-        SK = asm._stiffness_on(fine, kappa, np.nonzero(anc == K)[0])
-        expected = (SK @ P_full[:, verts]).toarray()
-        assert np.array_equal(ws.element_rhs(K, verts), expected)
+        patch = lod.patch_elements(coarse, K, 1)
+        dof_free, cols, hat_free = lod._solve_patch(ws, K, patch)
+        T = fine.triangles[anc == K]
+        SK = asm._accumulate(T, fine.n_vertices,
+                             asm._element_stiffness(fine, kappa, T))
+        rhs = (SK @ P_full[:, coarse.free_nodes[hat_free]]).toarray()
+        c_free = ws.coarse_free_index[np.unique(coarse.triangles[patch])]
+        c_free = c_free[c_free >= 0]
+        Cp = ws.I_free[c_free][:, dof_free]
+        saddle = sp.bmat([[ws.S_free[dof_free][:, dof_free], Cp.T],
+                          [Cp, None]], format="csc")
+        expected = splu(saddle).solve(np.vstack([
+            rhs[fine.free_nodes[dof_free]],
+            np.zeros((c_free.size, hat_free.size))]))[: dof_free.size]
+        assert np.array_equal(cols, expected)
 
 
 # -- correctors ----------------------------------------------------------
@@ -156,7 +208,7 @@ def test_corrector_columns_local_and_in_kernel(small):
     assert hat_free.size > 0
     assert cols.shape == (dof_free.size, hat_free.size)
     # support stays inside the patch
-    allowed = set(ws.free_index[ws.patch_dofs(patch)])
+    allowed = set(ws.free_index[reference_patch_dofs(coarse, fine, patch)])
     assert set(dof_free) <= allowed
     # corrector lies in the kernel of the quasi interpolation
     assert np.abs(I_free[:, dof_free] @ cols).max() <= 1e-10
@@ -170,8 +222,9 @@ def test_corrector_energy_bound(small):
     patch = lod.patch_elements(coarse, K, 2)
     dof_free, cols, hats = lod._solve_patch(ws, K, patch)
     hat_verts = coarse.triangles[K][ws.coarse_free_index[coarse.triangles[K]] >= 0]
-    tri_ids = mm.descendant_triangles(coarse, fine, K)
-    SK = asm._stiffness_on(fine, kappa, tri_ids)
+    T = fine.triangles[mm.descendant_triangles(coarse, fine, K)]
+    SK = asm._accumulate(T, fine.n_vertices,
+                         asm._element_stiffness(fine, kappa, T))
     P_full = mm.prolongation(coarse, fine, all_nodes=True)
     for j, z in enumerate(hat_verts):
         phi = P_full[:, z].toarray().ravel()
