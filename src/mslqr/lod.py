@@ -5,8 +5,11 @@ interpolation onto the coarse mesh.  For every coarse element a constrained
 elliptic problem posed on a k-layer element patch yields corrector columns;
 their sum corrects the nodal interpolation basis, and the coarse system
 matrices are triple products with the fine ones through the corrected
-basis.  Element problems are independent and deterministic, so the basis
-is reproducible and reusable across solver runs.
+basis.  Each constrained problem is solved through the small dense Schur
+complement of its quasi-interpolation rows, so the only sparse
+factorization is of the SPD patch stiffness.  Element problems are
+independent and deterministic, so the basis is reproducible and reusable
+across solver runs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
@@ -100,14 +104,37 @@ class _Workspace:
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
 
 
+def _constrained_solve(S, C, rhs: np.ndarray) -> np.ndarray:
+    """x of the saddle system [[S, C^T], [C, 0]] [x; lam] = [rhs; 0].
+
+    S is sparse SPD and C has few rows, so the constraints are eliminated
+    through their dense Schur complement Sigma = C S^-1 C^T: one sparse
+    factorization of S, one solve with the right-hand sides and C^T
+    together, and a Cholesky solve with Sigma for the multipliers.  Raises
+    RuntimeError when S is singular and LinAlgError when Sigma is not
+    positive definite (C rank deficient).
+    """
+    lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options=dict(SymmetricMode=True))
+    m = rhs.shape[1]
+    X = lu.solve(np.hstack([rhs, C.T.toarray()]))
+    CX = C @ X
+    lam = sla.solve(CX[:, m:], CX[:, :m], assume_a="pos")
+    return X[:, :m] - X[:, m:] @ lam
+
+
 def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
     """Corrector columns of element K on a given patch.
 
     Returns (free positions of the patch dofs, dense corrector columns,
     free ids of the coarse hats of K); empty results when K carries no
     free coarse hat.  The dofs are the free patch vertices whose fine
-    triangles all lie in the patch; the right-hand side
-    int_K kappa grad(phi_z).grad(phi_i) is assembled over the patch vertices.
+    triangles all lie in the patch, so the patch stiffness Spp is SPD; the
+    right-hand side int_K kappa grad(phi_z).grad(phi_i) is assembled over
+    the patch vertices.  The columns minimize the energy subject to the
+    quasi-interpolation rows Cp of the patch's free coarse nodes, solved by
+    `_constrained_solve`; a singular Spp or a rank-deficient Cp raises
+    LinAlgError naming K.
     """
     hat_verts, hat_free = ws.free_hats(K)
     if hat_verts.size == 0:
@@ -125,22 +152,17 @@ def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
     c_free = ws.coarse_free_index[cverts]
     c_free = c_free[c_free >= 0]
 
-    Spp = ws.S_free[dof_free][:, dof_free]
-    Cp = ws.I_free[c_free][:, dof_free]
-    saddle = sp.bmat([[Spp, Cp.T], [Cp, None]], format="csc")
-    try:
-        lu = splu(saddle)
-    except RuntimeError as exc:
-        raise np.linalg.LinAlgError(
-            f"element {K}: singular local corrector system") from exc
-
     K_ids = descendant_triangles(ws.coarse, fine, K)
     SK = _accumulate(np.searchsorted(verts, fine.triangles[K_ids]),
                      verts.size, ws.element_stiffness[:, :, K_ids])
     rhs_K = (SK @ ws.P_full[verts][:, hat_verts]).toarray()[inside]
-    rhs = np.vstack([rhs_K, np.zeros((c_free.size, hat_verts.size))])
-    sol = lu.solve(rhs)
-    return dof_free, sol[: dof_free.size], hat_free
+    try:
+        cols = _constrained_solve(ws.S_free[dof_free][:, dof_free],
+                                  ws.I_free[c_free][:, dof_free], rhs_K)
+    except (RuntimeError, np.linalg.LinAlgError) as exc:
+        raise np.linalg.LinAlgError(
+            f"element {K}: singular local corrector system ({exc})") from exc
+    return dof_free, cols, hat_free
 
 
 @dataclass
@@ -230,12 +252,8 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     space with every coarse constraint row.  Reference for testing the
     localized assembly at saturation."""
     ws = _Workspace(fine, coarse, kappa, system=system)
-    n, nH = fine.n_free, coarse.n_free
-    saddle = sp.bmat([[ws.S_free, ws.I_free.T], [ws.I_free, None]],
-                     format="csc")
-    lu = splu(saddle)
-    rhs = np.vstack([(ws.S_free @ ws.P_free).toarray(), np.zeros((nH, nH))])
-    Q = lu.solve(rhs)[:n]
+    Q = _constrained_solve(ws.S_free, ws.I_free,
+                           (ws.S_free @ ws.P_free).toarray())
     return LodBasis.restrict(-1, sp.csr_matrix(ws.P_free - Q), system,
                              {"global": True})
 

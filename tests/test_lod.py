@@ -170,31 +170,76 @@ def test_patch_dofs_match_incidence_reference(domain):
             assert np.array_equal(dof_free, ws.free_index[expected])
 
 
-def test_element_rhs_matches_ancestor_rule(small):
-    # the corrector columns equal, bit for bit, those of the same saddle
-    # system whose right-hand side is assembled over the whole fine mesh
-    # from the ancestor rule
-    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
-    ws = lod._Workspace(fine, coarse, kappa)
+def ancestor_rule_problem(ws, kappa, K, patch):
+    """(dofs, Spp, Cp, rhs) of element K's corrector problem on a patch,
+    with the dofs from the incidence reference and the right-hand side
+    assembled over the whole fine mesh from the ancestor rule."""
+    coarse, fine = ws.coarse, ws.fine
     steps = len(mm.lineage(coarse, fine)) - 1
     anc = np.arange(fine.n_triangles) // 4 ** steps
-    P_full = mm.prolongation(coarse, fine, all_nodes=True)
+    T = fine.triangles[anc == K]
+    SK = asm._accumulate(T, fine.n_vertices,
+                         asm._element_stiffness(fine, kappa, T))
+    hat_verts, _ = ws.free_hats(K)
+    rhs = (SK @ mm.prolongation(coarse, fine, all_nodes=True)[:, hat_verts])
+    dofs = reference_patch_dofs(coarse, fine, patch)
+    c_free = ws.coarse_free_index[np.unique(coarse.triangles[patch])]
+    c_free = c_free[c_free >= 0]
+    dof_free = ws.free_index[dofs]
+    return (dof_free, ws.S_free[dof_free][:, dof_free],
+            ws.I_free[c_free][:, dof_free], rhs.toarray()[dofs])
+
+
+def saddle_lu_reference(Spp, Cp, rhs):
+    """x of [[Spp, Cp^T], [Cp, 0]] [x; lam] = [rhs; 0] by a sparse LU of
+    the whole saddle matrix."""
+    saddle = sp.bmat([[Spp, Cp.T], [Cp, None]], format="csc")
+    zeros = np.zeros((Cp.shape[0], rhs.shape[1]))
+    return splu(saddle).solve(np.vstack([rhs, zeros]))[: Spp.shape[0]]
+
+
+def test_element_rhs_matches_ancestor_rule(small):
+    # the corrector columns equal, bit for bit, those of the same
+    # constrained solve whose right-hand side is assembled over the whole
+    # fine mesh from the ancestor rule
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    ws = lod._Workspace(fine, coarse, kappa)
     for K in (0, 7, coarse.n_triangles - 1):
         patch = lod.patch_elements(coarse, K, 1)
-        dof_free, cols, hat_free = lod._solve_patch(ws, K, patch)
-        T = fine.triangles[anc == K]
-        SK = asm._accumulate(T, fine.n_vertices,
-                             asm._element_stiffness(fine, kappa, T))
-        rhs = (SK @ P_full[:, coarse.free_nodes[hat_free]]).toarray()
-        c_free = ws.coarse_free_index[np.unique(coarse.triangles[patch])]
-        c_free = c_free[c_free >= 0]
-        Cp = ws.I_free[c_free][:, dof_free]
-        saddle = sp.bmat([[ws.S_free[dof_free][:, dof_free], Cp.T],
-                          [Cp, None]], format="csc")
-        expected = splu(saddle).solve(np.vstack([
-            rhs[fine.free_nodes[dof_free]],
-            np.zeros((c_free.size, hat_free.size))]))[: dof_free.size]
-        assert np.array_equal(cols, expected)
+        dof_free, cols, _ = lod._solve_patch(ws, K, patch)
+        dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
+        assert np.array_equal(dof_free, dofs)
+        assert np.array_equal(cols, lod._constrained_solve(Spp, Cp, rhs))
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_schur_solve_matches_saddle_lu(domain):
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
+        for k in (1, 2, 3):
+            patch = lod.patch_elements(coarse, K, k)
+            _, cols, _ = lod._solve_patch(ws, K, patch)
+            _, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
+            expected = saddle_lu_reference(Spp, Cp, rhs)
+            assert cols.shape == expected.shape
+            assert (np.abs(cols - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
+
+
+def test_rank_deficient_constraints_name_the_element(small):
+    # a zero quasi-interpolation row makes the Schur complement singular
+    coarse, fine = small["coarse"], small["fine"]
+    ws = lod._Workspace(fine, coarse, small["kappa"])
+    K = 7
+    _, hat_free = ws.free_hats(K)
+    keep = np.ones(coarse.n_free)
+    keep[hat_free[0]] = 0.0
+    ws.I_free = (sp.diags(keep) @ ws.I_free).tocsr()
+    with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
+        lod._solve_patch(ws, K, lod.patch_elements(coarse, K, 1))
 
 
 # -- correctors ----------------------------------------------------------
@@ -235,20 +280,16 @@ def test_corrector_energy_bound(small):
 
 
 def test_corrector_zero_rhs_gives_zero(small):
-    # constant coefficient, element far from a hat: no right-hand side rows
+    # the constrained solve is linear: a zero right-hand side gives exactly
+    # zero columns
     coarse, fine = small["coarse"], small["fine"]
     ws = lod._Workspace(fine, coarse, small["kappa"])
     K = 4
     patch = lod.patch_elements(coarse, K, 1)
-    dof_free, cols, hats = lod._solve_patch(ws, K, patch)
-    # solving with an explicitly zeroed rhs returns zero columns
-    rhs = np.zeros((dof_free.size + 1, 1))
-    Spp = ws.S_free[dof_free][:, dof_free]
-    c_free = np.array([0])
-    Cp = ws.I_free[c_free][:, dof_free]
-    saddle = sp.bmat([[Spp, Cp.T], [Cp, None]], format="csc")
-    sol = splu(saddle).solve(rhs)
-    assert np.abs(sol).max() == 0.0
+    _, Spp, Cp, rhs = ancestor_rule_problem(ws, small["kappa"], K, patch)
+    cols = lod._constrained_solve(Spp, Cp, np.zeros_like(rhs))
+    assert cols.shape == rhs.shape
+    assert np.abs(cols).max() == 0.0
 
 
 # -- basis build ----------------------------------------------------------
