@@ -19,7 +19,7 @@ from .dre import (DreSolution, SolverConfig, apply_exp_F, simulate_closed_loop,
 from .lod import (LodBasis, build_lod_basis, clement_interpolation,
                   corrector_decay_profile, default_patch_radius,
                   load_lod_basis, patch_elements, save_lod_basis)
-from .lowrank import (LowRankFactor, add, apply_exp_G, compress, dump_factor,
+from .lowrank import (LowRankFactor, apply_exp_G, compress, dump_factor,
                       load_factor, zero_factor)
 from .mesh import (Domain, TriMesh, build_base_mesh, dump_mesh, l_shape,
                    prolongation, refine_uniform, shape_regularity,

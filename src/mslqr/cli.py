@@ -40,7 +40,7 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
         elif args.command == "run":
             cfg = parse_config(args.config)
-            record = run_experiment(cfg, log=print)
+            run_experiment(cfg, log=print)
             print(f"wrote {cfg.output}")
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

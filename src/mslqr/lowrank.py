@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from .runtime import _text_file
 
@@ -50,20 +51,49 @@ def zero_factor(n: int) -> LowRankFactor:
     return LowRankFactor(np.zeros((n, 0)), np.zeros((0, 0)))
 
 
+def _thin_qr(A: np.ndarray):
+    """Householder QR of an n x k matrix, A = Q R, in compact-WY form.
+
+    Returns the m x k upper trapezoidal R, m = min(n, k), and a function
+    W -> Q[:, :m] @ W that applies the reflectors to an m x r block without
+    forming Q.  One block of nb = m columns makes LAPACK's dgeqrt factor
+    the panel recursively with BLAS-3 calls; dgeqrf runs the unblocked,
+    BLAS-2 dgeqr2 on matrices this narrow.  A is not modified.
+    """
+    n, k = A.shape
+    m = min(n, k)
+    V, T, info = lapack.dgeqrt(m, A)
+    if info:  # pragma: no cover - only raised on invalid arguments
+        raise ValueError(f"dgeqrt: illegal value in argument {-info}")
+
+    def q_times(W: np.ndarray) -> np.ndarray:
+        C = np.zeros((n, W.shape[1]), order="F")
+        C[:m] = W
+        QW, info = lapack.dgemqrt(V[:, :m], T, C, overwrite_c=1)
+        if info:  # pragma: no cover - only raised on invalid arguments
+            raise ValueError(f"dgemqrt: illegal value in argument {-info}")
+        return QW
+
+    return np.triu(V[:m]), q_times
+
+
 def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
     """Column compression: orthonormalize L, diagonalize the core, drop
     eigenvalues with |lambda| < tol * max|lambda| (and exact zeros).
 
-    The represented operator changes by at most the sum of the dropped
-    |lambda| in spectral norm.  Kept columns are returned orthonormal with
-    a diagonal D sorted by decreasing magnitude.  A NaN or Inf in the
-    factor raises FloatingPointError.
+    With the thin QR L = Q R (`_thin_qr`), the core R D R^T = W diag(lambda)
+    W^T is diagonalized and the kept columns are Q W, applied through the
+    Householder reflectors.  The represented operator changes by at most
+    the sum of the dropped |lambda| in spectral norm.  Kept columns are
+    returned orthonormal with a diagonal D sorted by decreasing magnitude.
+    A NaN or Inf in the factor raises FloatingPointError.  F is not
+    modified.
     """
     if tol < 0:
         raise ValueError("compression tolerance must be nonnegative")
     if F.rank == 0:
         return F.copy()
-    Q, R = sla.qr(F.L, mode="economic", check_finite=False)
+    R, q_times = _thin_qr(F.L)
     core = R @ F.D @ R.T
     if not np.isfinite(core).all():
         raise FloatingPointError("compress: non-finite entries in the factor")
@@ -78,19 +108,7 @@ def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
     lam, W = lam[keep], W[:, keep]
     order = np.argsort(-np.abs(lam))
     lam, W = lam[order], W[:, order]
-    return LowRankFactor(Q @ W, np.diag(lam))
-
-
-def add(F1: LowRankFactor, F2: LowRankFactor) -> LowRankFactor:
-    """Concatenated factor of X1 + X2; no compression performed."""
-    if F1.n != F2.n:
-        raise ValueError("factors have different ambient dimensions")
-    if F1.rank == 0:
-        return F2.copy()
-    if F2.rank == 0:
-        return F1.copy()
-    return LowRankFactor(np.hstack([F1.L, F2.L]),
-                         sla.block_diag(F1.D, F2.D))
+    return LowRankFactor(q_times(W), np.diag(lam))
 
 
 def _sym_sqrt_psd(D: np.ndarray):

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu, spsolve_triangular
 
-from .lowrank import LowRankFactor
+from .lowrank import LowRankFactor, _thin_qr
 
 
 class SparseCholesky:
@@ -106,7 +106,7 @@ def l2_operator_error(pair: LiftedPair) -> float:
     if V is None:
         return 0.0
     Vw = pair.chol_M.factor_tmul(V)
-    _, R = np.linalg.qr(Vw, mode="reduced")
+    R, _ = _thin_qr(Vw)
     core = R @ D @ R.T
     lam = np.linalg.eigvalsh(0.5 * (core + core.T))
     return float(np.abs(lam).max())
@@ -119,7 +119,7 @@ def v_operator_error(pair: LiftedPair) -> float:
         return 0.0
     G1 = pair.chol_S.factor_tmul(V)
     G2 = pair.chol_S.factor_solve(pair.M @ V)
-    _, R1 = np.linalg.qr(G1, mode="reduced")
-    _, R2 = np.linalg.qr(G2, mode="reduced")
+    R1, _ = _thin_qr(G1)
+    R2, _ = _thin_qr(G2)
     core = R1 @ D @ R2.T
     return float(np.linalg.svd(core, compute_uv=False).max())

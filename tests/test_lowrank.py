@@ -2,8 +2,17 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslqr import lowrank as lr
+
+# fixed example sequence, so that the suite is deterministic; no deadline,
+# because a loaded machine would make slow examples fail
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+SIZES = dict(n=st.integers(1, 40), r=st.integers(1, 8),
+             seed=st.integers(0, 2 ** 32 - 1))
 
 
 def random_psd_factor(n, r, seed=0, scale=1.0):
@@ -18,6 +27,39 @@ def random_sym_factor(n, r, seed=0):
     L = rng.standard_normal((n, r))
     D = rng.standard_normal((r, r))
     return lr.LowRankFactor(L, 0.5 * (D + D.T))
+
+
+def add(F1, F2):
+    """Concatenated factor of X1 + X2; no compression performed."""
+    if F1.n != F2.n:
+        raise ValueError("factors have different ambient dimensions")
+    if F1.rank == 0:
+        return F2.copy()
+    if F2.rank == 0:
+        return F1.copy()
+    return lr.LowRankFactor(np.hstack([F1.L, F2.L]),
+                            sla.block_diag(F1.D, F2.D))
+
+
+def reference_compress(F, tol):
+    """The compression through scipy.linalg.qr that `compress` replaced."""
+    Q, R = sla.qr(F.L, mode="economic", check_finite=False)
+    core = R @ F.D @ R.T
+    lam, W = np.linalg.eigh(0.5 * (core + core.T))
+    amax = np.abs(lam).max()
+    if amax == 0.0:
+        return lr.zero_factor(F.n)
+    keep = np.abs(lam) >= max(tol, 8 * np.finfo(float).eps) * amax
+    lam, W = lam[keep], W[:, keep]
+    order = np.argsort(-np.abs(lam))
+    return lr.LowRankFactor(Q @ W[:, order], np.diag(lam[order]))
+
+
+def duplicate_column_factor():
+    rng = np.random.default_rng(22)
+    a, b = rng.standard_normal((2, 40, 1))
+    return lr.LowRankFactor(np.hstack([a, b, a, 2 * b, a - b]),
+                            np.diag([1.0, 2.0, 0.5, -1.0, 3.0]))
 
 
 # -- compress -----------------------------------------------------------------
@@ -79,6 +121,23 @@ def test_compress_error_bounded_by_dropped_eigenvalues():
         assert err <= 1.01 * dropped + 1e-12 * np.abs(lam).max()
 
 
+@pytest.mark.parametrize("F, tol", [
+    (random_psd_factor(60, 12, seed=20), 1e-10),
+    (random_sym_factor(50, 8, seed=21), 1e-10),
+    (duplicate_column_factor(), 0.0),
+    (random_sym_factor(1, 6, seed=23), 0.0),
+    (random_sym_factor(3, 6, seed=24), 0.0),
+], ids=["random", "indefinite", "duplicate-columns", "wide-n1", "wide-n3"])
+def test_compress_matches_scipy_qr_reference(F, tol):
+    L0, D0 = F.L.copy(), F.D.copy()
+    Fc, Fr = lr.compress(F, tol), reference_compress(F, tol)
+    assert np.array_equal(F.L, L0) and np.array_equal(F.D, D0)
+    assert Fc.rank == Fr.rank
+    assert np.abs(Fc.L.T @ Fc.L - np.eye(Fc.rank)).max() <= 1e-13
+    X = Fr.to_dense()
+    assert np.linalg.norm(Fc.to_dense() - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
+
+
 def test_compress_zero_and_rank_zero():
     Z = lr.zero_factor(10)
     assert lr.compress(Z, 1e-10).rank == 0
@@ -86,26 +145,26 @@ def test_compress_zero_and_rank_zero():
     assert lr.compress(F, 1e-10).rank == 0
 
 
-# -- add ------------------------------------------------------------------
+# -- add (the test-side concatenation) ---------------------------------------
 
 def test_add_zero_identity():
     F = random_psd_factor(15, 4, seed=5)
     Z = lr.zero_factor(15)
-    assert np.allclose(lr.add(F, Z).to_dense(), F.to_dense())
-    assert np.allclose(lr.add(Z, F).to_dense(), F.to_dense())
+    assert np.allclose(add(F, Z).to_dense(), F.to_dense())
+    assert np.allclose(add(Z, F).to_dense(), F.to_dense())
 
 
 def test_add_concatenates_and_sums():
     F1 = random_sym_factor(25, 3, seed=6)
     F2 = random_sym_factor(25, 5, seed=7)
-    F = lr.add(F1, F2)
+    F = add(F1, F2)
     assert F.rank == 8
     assert np.allclose(F.to_dense(), F1.to_dense() + F2.to_dense(), atol=1e-14)
 
 
 def test_add_dimension_mismatch():
     with pytest.raises(ValueError):
-        lr.add(lr.zero_factor(3), lr.zero_factor(4))
+        add(lr.zero_factor(3), lr.zero_factor(4))
 
 
 # -- apply_exp_G ----------------------------------------------------------
@@ -172,10 +231,47 @@ def test_symmetry_preserved_by_all_operations():
     F = random_sym_factor(30, 6, seed=15)
     B = np.random.default_rng(16).standard_normal((30, 2))
     for out in (lr.compress(F, 1e-8),
-                lr.add(F, random_sym_factor(30, 2, seed=17)),
+                add(F, random_sym_factor(30, 2, seed=17)),
                 lr.apply_exp_G(0.2, lr.compress(F, 0.0), B, np.eye(2))):
         X = out.to_dense()
         assert np.abs(X - X.T).max() <= 1e-13 * max(np.abs(X).max(), 1e-300)
+
+
+# -- properties (Hypothesis) ---------------------------------------------------
+
+@PROPERTY
+@given(**SIZES)
+def test_property_compress_is_idempotent(n, r, seed):
+    Fc = lr.compress(random_sym_factor(n, r, seed), 1e-10)
+    Fcc = lr.compress(Fc, 1e-10)
+    assert Fcc.rank == Fc.rank
+    X = Fc.to_dense()
+    assert np.linalg.norm(Fcc.to_dense() - X, 2) <= 1e-13 * np.linalg.norm(X, 2)
+
+
+@PROPERTY
+@given(r2=st.integers(0, 8), **SIZES)
+def test_property_concatenation_then_compress_is_the_dense_sum(n, r, r2, seed):
+    F1 = random_sym_factor(n, r, seed)
+    F2 = random_sym_factor(n, r2, seed + 1)
+    X1, X2 = F1.to_dense(), F2.to_dense()
+    Fc = lr.compress(add(F1, F2), 0.0)
+    # relative to the parts: the sum may cancel, the roundoff does not
+    scale = np.linalg.norm(X1, 2) + np.linalg.norm(X2, 2)
+    assert np.linalg.norm(Fc.to_dense() - (X1 + X2), 2) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(m=st.integers(1, 3), t=st.floats(0.0, 10.0), **SIZES)
+def test_property_exp_g_then_compress_keeps_psd(n, r, m, t, seed):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((r, r))
+    F = lr.LowRankFactor(rng.standard_normal((n, r)), G @ G.T)
+    B = rng.standard_normal((n, m))
+    out = lr.compress(lr.apply_exp_G(t, F, B, np.eye(m)), 1e-10)
+    lam = np.diag(out.D)
+    assert out.rank > 0
+    assert lam.min() >= -1e-12 * lam.max()
 
 
 def test_factor_dump_roundtrip():

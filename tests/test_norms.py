@@ -4,7 +4,7 @@ import pytest
 from mslqr import assembly as asm
 from mslqr import mesh as mm
 from mslqr import norms
-from mslqr.lowrank import LowRankFactor, zero_factor
+from mslqr.lowrank import LowRankFactor, _thin_qr, zero_factor
 
 
 def meshes(j_coarse=1, j_fine=2):
@@ -65,6 +65,22 @@ def test_sparse_cholesky_factorizes(setup):
         X = np.eye(n)
         G = c.factor_tmul(X)            # G^T, rows of the factor transpose
         assert np.allclose(G.T @ G, setup[key].toarray(), atol=1e-12)
+
+
+def test_thin_qr_r_matches_numpy_up_to_row_signs(setup):
+    # the three tall inputs the norms reduce, plus a wide one
+    pair = pair_of(setup, rand_factor(setup["fine"].n_free, 4, seed=14),
+                   rand_factor(setup["coarse"].n_free, 3, seed=15))
+    V, _ = norms._difference_blocks(pair)
+    wide = np.random.default_rng(16).standard_normal((3, 6))
+    for A in (setup["chol_M"].factor_tmul(V), setup["chol_S"].factor_tmul(V),
+              setup["chol_S"].factor_solve(setup["M"] @ V), wide):
+        R, _ = _thin_qr(A)
+        R_ref = np.linalg.qr(A, mode="r")
+        assert R.shape == R_ref.shape
+        signs = np.sign(np.diag(R)) * np.sign(np.diag(R_ref))
+        assert np.abs(R - signs[:, None] * R_ref).max() <= (
+            1e-12 * np.abs(R_ref).max())
 
 
 def test_identical_factors_give_zero(setup):
