@@ -59,7 +59,6 @@ class ExperimentConfig:
     stripe_value: float = 1e-2
     background: float = 1.0
     constant_value: float = 1.0
-    workers: int = 1                     # thread pool for corrector solves
     solver: SolverConfig = field(default_factory=SolverConfig)
     output: str = "results.csv"
 
@@ -73,8 +72,6 @@ class ExperimentConfig:
         control_squares(self.domain_kind)
         if self.k is not None and self.k < 1:
             raise ValueError("patch radius must be at least 1")
-        if self.workers < 1:
-            raise ValueError("worker count must be at least 1")
         return self
 
 
@@ -301,8 +298,7 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
 
             k_j = k_levels[j - cfg.j_min]
             t0 = time.perf_counter()
-            basis = build_lod_basis(fine, coarse, kappa, k_j, system,
-                                    workers=cfg.workers)
+            basis = build_lod_basis(fine, coarse, kappa, k_j, system)
             time_setup = time.perf_counter() - t0
             t0 = time.perf_counter()
             lod_sol = solve_dre(basis.system(), zero_factor(basis.n_coarse),
@@ -367,7 +363,6 @@ _CONFIG_KEYS = {
     ("experiment", "j_max"): ("j_max", int),
     ("experiment", "j_ref"): ("j_ref", int),
     ("experiment", "k"): ("k", int),
-    ("experiment", "workers"): ("workers", int),
     ("experiment", "output"): ("output", str),
     ("kappa", "type"): ("kappa_type", str),
     ("kappa", "epsilon"): ("epsilon", _parse_number),

@@ -7,7 +7,10 @@ substeps and accumulates the output Gramian by a trapezoidal rule whose
 nodes sit on the same substep grid; flow time and quadrature therefore
 share one SPD factorization of (M + dt/2 S) per run and the discrete
 affine flow composes exactly (two half-steps equal one full step).  The
-quadratic flow is the closed-form rank-r update from the low-rank algebra.
+output Gramian of a flow length does not depend on the factor, so it is
+computed once per run and each affine step only propagates the factor's
+own columns.  The quadratic flow is the closed-form rank-r update from the
+low-rank algebra.
 """
 
 from __future__ import annotations
@@ -64,13 +67,14 @@ def crank_nicolson_ops(system: LqrSystem, dt: float):
 
 
 class FlowCache:
-    """Factorizations and constant columns reused across a whole run."""
+    """Factorizations and output Gramians reused across a whole run."""
 
     def __init__(self, system: LqrSystem, cfg: SolverConfig):
         self.system = system
         self.cfg = cfg
         self.dt_base = (0.5 * cfg.tau) / cfg.substeps
         self._ops = {}
+        self._gramians = {}
         self.lu_mass = splu(system.M.tocsc())
         if system.p > 0 and np.any(system.Q):
             self.W = self.lu_mass.solve(np.ascontiguousarray(system.C.T))
@@ -83,6 +87,39 @@ class FlowCache:
             self._ops[key] = crank_nicolson_ops(self.system, dt)
         return self._ops[key]
 
+    def substeps(self, t: float):
+        """Number and length of the Crank-Nicolson substeps over [0, t]."""
+        n_steps = max(1, int(round(t / self.dt_base)))
+        return n_steps, t / n_steps
+
+    def states(self, t: float, V: np.ndarray):
+        """Yield the columns V propagated to each node of the substep grid
+        of [0, t], starting with V itself."""
+        n_steps, dt = self.substeps(t)
+        lu, Mminus = self.step_ops(dt)
+        yield V
+        for _ in range(n_steps):
+            V = lu.solve(Mminus @ V)
+            yield V
+
+    def gramian(self, t: float) -> LowRankFactor | None:
+        """Output Gramian sum_j w_j Phi_j W Q W^T Phi_j^T of the flow over
+        [0, t] (trapezoid weights w on the substep grid), or None without an
+        output term.  Computed once per t and compressed at tolerance zero,
+        so only roundoff-level spectrum is dropped."""
+        if self.W is None:
+            return None
+        key = float(t)
+        if key not in self._gramians:
+            snaps = list(self.states(t, self.W))
+            _, dt = self.substeps(t)
+            w = np.full(len(snaps), dt)
+            w[0] = w[-1] = 0.5 * dt
+            G = LowRankFactor(np.hstack(snaps),
+                              sla.block_diag(*(wj * self.system.Q for wj in w)))
+            self._gramians[key] = compress(G, 0.0)
+        return self._gramians[key]
+
 
 def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
                 cfg: SolverConfig, cache: FlowCache | None = None
@@ -90,8 +127,9 @@ def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
     """Affine Riccati flow: propagated factor plus the output Gramian.
 
     The propagated part solves M v' = -S v for the factor columns; the
-    Gramian adds trapezoid nodes Phi_s M^-1 C^T with core weights w Q.
-    The result is compressed at the configured tolerance.
+    Gramian (`FlowCache.gramian`, computed once per t) sums trapezoid
+    nodes Phi_s M^-1 C^T with core weights w Q.  The result is compressed
+    at the configured tolerance.
     """
     if t < 0:
         raise ValueError("flow time must be nonnegative")
@@ -99,35 +137,18 @@ def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
         cache = FlowCache(system, cfg)
     if t == 0.0:
         return F.copy()
-    has_gram = cache.W is not None
-    r = F.rank
-    if r == 0 and not has_gram:
+    G = cache.gramian(t)
+    blocks_L, blocks_D = [], []
+    if F.rank:
+        for V in cache.states(t, F.L):
+            pass
+        blocks_L.append(V)
+        blocks_D.append(F.D)
+    if G is not None:
+        blocks_L.append(G.L)
+        blocks_D.append(G.D)
+    if not blocks_L:
         return zero_factor(system.n)
-
-    n_steps = max(1, int(round(t / cache.dt_base)))
-    dt = t / n_steps
-    lu, Mminus = cache.step_ops(dt)
-
-    parts = []
-    if r:
-        parts.append(F.L)
-    if has_gram:
-        parts.append(cache.W)
-    V = np.hstack(parts)
-    snaps = [cache.W.copy()] if has_gram else None
-    for _ in range(n_steps):
-        V = lu.solve(Mminus @ V)
-        if has_gram:
-            snaps.append(V[:, r:].copy())
-
-    blocks_L = [V[:, :r]] if r else []
-    blocks_D = [F.D] if r else []
-    if has_gram:
-        w = np.full(n_steps + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        for wj, Z in zip(w, snaps):
-            blocks_L.append(Z)
-            blocks_D.append(wj * system.Q)
     out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
     return compress(out, cfg.compress_tol)
 

@@ -7,15 +7,16 @@ their sum corrects the nodal interpolation basis, and the coarse system
 matrices are triple products with the fine ones through the corrected
 basis.  Each constrained problem is solved through the small dense Schur
 complement of its quasi-interpolation rows, so the only sparse
-factorization is of the SPD patch stiffness.  Element problems are
-independent and deterministic, so the basis is reproducible and reusable
-across solver runs.
+factorization is of the SPD patch stiffness, shared by all elements
+with the same patch.  Element problems are independent and deterministic,
+so the basis is reproducible and reusable across solver runs.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg as sla
@@ -104,18 +105,23 @@ class _Workspace:
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
 
 
-def _constrained_solve(S, C, rhs: np.ndarray) -> np.ndarray:
+def _factor_spd(S):
+    """Sparse LU of an SPD matrix: symmetric minimum-degree ordering,
+    diagonal pivots.  Raises RuntimeError when S is singular."""
+    return splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True))
+
+
+def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
     """x of the saddle system [[S, C^T], [C, 0]] [x; lam] = [rhs; 0].
 
-    S is sparse SPD and C has few rows, so the constraints are eliminated
-    through their dense Schur complement Sigma = C S^-1 C^T: one sparse
-    factorization of S, one solve with the right-hand sides and C^T
-    together, and a Cholesky solve with Sigma for the multipliers.  Raises
-    RuntimeError when S is singular and LinAlgError when Sigma is not
-    positive definite (C rank deficient).
+    S is sparse SPD, given by its factorization ``lu`` (`_factor_spd`), and
+    C has few rows, so the constraints are eliminated through their dense
+    Schur complement Sigma = C S^-1 C^T: one solve with the right-hand
+    sides and C^T together, and a Cholesky solve with Sigma for the
+    multipliers.  Raises LinAlgError when Sigma is not positive definite
+    (C rank deficient).
     """
-    lu = splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options=dict(SymmetricMode=True))
     m = rhs.shape[1]
     X = lu.solve(np.hstack([rhs, C.T.toarray()]))
     CX = C @ X
@@ -123,23 +129,29 @@ def _constrained_solve(S, C, rhs: np.ndarray) -> np.ndarray:
     return X[:, :m] - X[:, m:] @ lam
 
 
-def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
-    """Corrector columns of element K on a given patch.
+def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
+    """Corrector columns of the elements that share one patch.
 
-    Returns (free positions of the patch dofs, dense corrector columns,
-    free ids of the coarse hats of K); empty results when K carries no
-    free coarse hat.  The dofs are the free patch vertices whose fine
-    triangles all lie in the patch, so the patch stiffness Spp is SPD; the
-    right-hand side int_K kappa grad(phi_z).grad(phi_i) is assembled over
-    the patch vertices.  The columns minimize the energy subject to the
-    quasi-interpolation rows Cp of the patch's free coarse nodes, solved by
-    `_constrained_solve`; a singular Spp or a rank-deficient Cp raises
-    LinAlgError naming K.
+    Returns one (free positions of the patch dofs, dense corrector columns,
+    free ids of the coarse hats of K) per element K, in the given order;
+    empty results for an element with no free coarse hat.  The dofs are
+    the free patch vertices whose fine triangles all lie in the patch, so
+    the patch stiffness Spp is SPD; it is factored once for all the
+    elements.  Each element's right-hand side int_K kappa
+    grad(phi_z).grad(phi_i) is assembled over the patch vertices.  The
+    columns minimize the energy subject to the quasi-interpolation rows Cp
+    of the patch's free coarse nodes, solved by `_constrained_solve`; a
+    singular Spp or a rank-deficient Cp raises LinAlgError naming the
+    element.
     """
-    hat_verts, hat_free = ws.free_hats(K)
-    if hat_verts.size == 0:
-        return np.empty(0, np.int64), np.zeros((0, 0)), hat_free
+    hats = [ws.free_hats(K) for K in elements]
+    out = [(np.empty(0, np.int64), np.zeros((0, 0)), hat_free)
+           for _, hat_free in hats]
+    with_hats = [i for i, (hat_verts, _) in enumerate(hats) if hat_verts.size]
+    if not with_hats:
+        return out
     fine = ws.fine
+    K = elements[with_hats[0]]
     tri_ids = descendant_triangles(ws.coarse, fine, patch)
     verts, counts = np.unique(fine.triangles[tri_ids], return_counts=True)
     inside = (counts == ws.valence[verts]) & (ws.free_index[verts] >= 0)
@@ -150,19 +162,22 @@ def _solve_patch(ws: _Workspace, K: int, patch: np.ndarray):
 
     cverts = np.unique(ws.coarse.triangles[patch])
     c_free = ws.coarse_free_index[cverts]
-    c_free = c_free[c_free >= 0]
-
-    K_ids = descendant_triangles(ws.coarse, fine, K)
-    SK = _accumulate(np.searchsorted(verts, fine.triangles[K_ids]),
-                     verts.size, ws.element_stiffness[:, :, K_ids])
-    rhs_K = (SK @ ws.P_full[verts][:, hat_verts]).toarray()[inside]
+    Cp = ws.I_free[c_free[c_free >= 0]][:, dof_free]
+    P_verts = ws.P_full[verts]
     try:
-        cols = _constrained_solve(ws.S_free[dof_free][:, dof_free],
-                                  ws.I_free[c_free][:, dof_free], rhs_K)
+        lu = _factor_spd(ws.S_free[dof_free][:, dof_free])
+        for i in with_hats:
+            K = elements[i]
+            hat_verts, hat_free = hats[i]
+            K_ids = descendant_triangles(ws.coarse, fine, K)
+            SK = _accumulate(np.searchsorted(verts, fine.triangles[K_ids]),
+                             verts.size, ws.element_stiffness[:, :, K_ids])
+            rhs_K = (SK @ P_verts[:, hat_verts]).toarray()[inside]
+            out[i] = (dof_free, _constrained_solve(lu, Cp, rhs_K), hat_free)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
-    return dof_free, cols, hat_free
+    return out
 
 
 @dataclass
@@ -196,39 +211,38 @@ class LodBasis:
 
 
 def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
-                    k: int, system: LqrSystem,
-                    workers: int = 1) -> LodBasis:
+                    k: int, system: LqrSystem) -> LodBasis:
     """Assemble the corrected basis Rh = prolongation - sum of correctors
     and the corrected matrices, solving one local problem per element.
 
-    Element problems are independent; with ``workers > 1`` they run on a
-    thread pool.  Results are accumulated in element order either way, so
-    the basis is bit-identical for any worker count.
+    Elements whose k-layer patches coincide (every element, once patches
+    saturate at the whole mesh) share one factorization of the patch
+    stiffness; only one is held at a time.  Results are accumulated in
+    element order, so the basis does not depend on the grouping.
     """
     if k < 1:
         raise ValueError("corrector patches need at least one layer")
     with single_thread_blas():
-        return _build_lod_basis(fine, coarse, kappa, k, system, workers)
+        return _build_lod_basis(fine, coarse, kappa, k, system)
 
 
-def _build_lod_basis(fine, coarse, kappa, k, system, workers):
+def _build_lod_basis(fine, coarse, kappa, k, system):
     ws = _Workspace(fine, coarse, kappa, system=system)
-
-    def solve_one(K):
-        patch = patch_elements(coarse, K, k)
-        return patch.size, _solve_patch(ws, K, patch)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve_one, range(coarse.n_triangles)))
-    else:
-        results = [solve_one(K) for K in range(coarse.n_triangles)]
+    patches = [patch_elements(coarse, K, k) for K in range(coarse.n_triangles)]
+    keys = [patch.tobytes() for patch in patches]
+    results = [None] * coarse.n_triangles
+    n_factorizations = 0
+    for _, group in groupby(sorted(range(coarse.n_triangles),
+                                   key=keys.__getitem__),
+                            key=keys.__getitem__):
+        group = list(group)
+        solved = _solve_patch(ws, group, patches[group[0]])
+        n_factorizations += any(hats.size for _, _, hats in solved)
+        for K, res in zip(group, solved):
+            results[K] = res
 
     rows, cols, vals = [], [], []
-    patch_sizes = []
-    for patch_size, (dof_free, qcols, hat_free) in results:
-        patch_sizes.append(patch_size)
+    for dof_free, qcols, hat_free in results:
         for j, zf in enumerate(hat_free):
             rows.append(dof_free)
             cols.append(np.full(dof_free.size, zf))
@@ -239,9 +253,11 @@ def _build_lod_basis(fine, coarse, kappa, k, system, workers):
                           shape=(fine.n_free, coarse.n_free)).tocsr()
     else:
         Q = sp.csr_matrix((fine.n_free, coarse.n_free))
+    sizes = [patch.size for patch in patches]
     stats = {"n_elements": coarse.n_triangles,
-             "patch_elements_min": int(min(patch_sizes)),
-             "patch_elements_max": int(max(patch_sizes))}
+             "patch_factorizations": n_factorizations,
+             "patch_elements_min": int(min(sizes)),
+             "patch_elements_max": int(max(sizes))}
     return LodBasis.restrict(k, (ws.P_free - Q).tocsr(), system, stats)
 
 
@@ -252,7 +268,7 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     space with every coarse constraint row.  Reference for testing the
     localized assembly at saturation."""
     ws = _Workspace(fine, coarse, kappa, system=system)
-    Q = _constrained_solve(ws.S_free, ws.I_free,
+    Q = _constrained_solve(_factor_spd(ws.S_free), ws.I_free,
                            (ws.S_free @ ws.P_free).toarray())
     return LodBasis.restrict(-1, sp.csr_matrix(ws.P_free - Q), system,
                              {"global": True})
@@ -272,7 +288,7 @@ def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
         raise ValueError("profile needs k_max >= 2")
     ws = _Workspace(fine, coarse, kappa)
     full_patch = patch_elements(coarse, K, coarse.n_triangles)
-    dofs_hat, cols_hat, hats = _solve_patch(ws, K, full_patch)
+    [(dofs_hat, cols_hat, hats)] = _solve_patch(ws, [K], full_patch)
     if hats.size == 0:
         raise ValueError(f"element {K} carries no free coarse hat")
     qhat = np.zeros((fine.n_free, hats.size))
@@ -280,7 +296,7 @@ def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
     energies = []
     for k in range(1, k_max + 1):
         patch = patch_elements(coarse, K, k)
-        dofs, cols, _ = _solve_patch(ws, K, patch)
+        [(dofs, cols, _)] = _solve_patch(ws, [K], patch)
         qk = np.zeros_like(qhat)
         qk[dofs] = cols
         diff = qhat - qk

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from .lowrank import LowRankFactor, _thin_qr
@@ -23,26 +22,28 @@ from .lowrank import LowRankFactor, _thin_qr
 class SparseCholesky:
     """Cholesky factorization P A P^T = L L^T of a sparse SPD matrix.
 
-    P is the reverse Cuthill-McKee fill-reducing permutation; the factor is
-    extracted from an unpivoted symmetric LU.  Any two Cholesky-like factors
-    of A differ by an orthogonal transform, so norms computed through this
-    factor are independent of the permutation.
+    P is a symmetric minimum-degree ordering (SuperLU's MMD on A^T + A);
+    the factor is read off an LU that pivots only on the diagonal.  Any two
+    Cholesky-like factors of A differ by an orthogonal transform, so norms
+    computed through this factor are independent of the permutation.  A
+    singular or indefinite A raises LinAlgError.
     """
 
     def __init__(self, A: sp.spmatrix):
-        A = sp.csr_matrix(A)
-        n = A.shape[0]
-        self.perm = np.asarray(reverse_cuthill_mckee(A, symmetric_mode=True))
-        Ap = A[self.perm][:, self.perm].tocsc()
-        lu = splu(Ap, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options=dict(SymmetricMode=True))
-        if not (np.array_equal(lu.perm_r, np.arange(n))
-                and np.array_equal(lu.perm_c, np.arange(n))):
+        try:
+            lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(
+                f"matrix is not positive definite ({exc})") from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
             raise np.linalg.LinAlgError(
                 "unexpected pivoting while factorizing an SPD matrix")
         d = lu.U.diagonal()
         if (d <= 0).any():
             raise np.linalg.LinAlgError("matrix is not positive definite")
+        # SuperLU factors A[perm][:, perm] with perm the inverse of perm_c
+        self.perm = np.argsort(lu.perm_c)
         self.L = (lu.L @ sp.diags(np.sqrt(d))).tocsr()
 
     def factor_tmul(self, X: np.ndarray) -> np.ndarray:

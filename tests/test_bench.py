@@ -215,6 +215,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
     ("experiment", "domain = u_shape", "u_shape"),
     ("solver", "compress_tol = 1", "compress_tol"),
     ("kappa", "type = stripe", "stripe"),
+    ("experiment", "workers = 2", "workers"),   # removed knob
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, monkeypatch, section, line,
                                 named):

@@ -1,5 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mslqr import assembly as asm
 from mslqr import dre
@@ -113,6 +117,93 @@ def test_exp_f_semigroup_composition():
     X1, X2 = once.to_dense(), twice.to_dense()
     scale = np.linalg.norm(X1, 2)
     assert np.linalg.norm(X1 - X2, 2) <= 10 * cfg.compress_tol * scale
+
+
+def snapshot_exp_F(t, F, system, cfg, cache):
+    """The affine flow with the factor and the output snapshots propagated
+    together and compressed once, as it was before the Gramian was cached
+    per flow length."""
+    has_gram = cache.W is not None
+    r = F.rank
+    if r == 0 and not has_gram:
+        return zero_factor(system.n)
+    n_steps = max(1, int(round(t / cache.dt_base)))
+    dt = t / n_steps
+    lu, Mminus = cache.step_ops(dt)
+    parts = ([F.L] if r else []) + ([cache.W] if has_gram else [])
+    V = np.hstack(parts)
+    snaps = [cache.W.copy()] if has_gram else None
+    for _ in range(n_steps):
+        V = lu.solve(Mminus @ V)
+        if has_gram:
+            snaps.append(V[:, r:].copy())
+    blocks_L = [V[:, :r]] if r else []
+    blocks_D = [F.D] if r else []
+    if has_gram:
+        w = np.full(n_steps + 1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        for wj, Z in zip(w, snaps):
+            blocks_L.append(Z)
+            blocks_D.append(wj * system.Q)
+    out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
+    return compress(out, cfg.compress_tol)
+
+
+def random_system(n, p, seed):
+    """Small LQR system with random SPD M and S and a PSD output weight."""
+    rng = np.random.default_rng(seed)
+
+    def spd(shift):
+        A = rng.standard_normal((n, n))
+        return sp.csr_matrix(A @ A.T / n + shift * np.eye(n))
+
+    G = rng.standard_normal((p, p))
+    return asm.LqrSystem(M=spd(1.0), S=spd(0.1),
+                         B=rng.standard_normal((n, 1)),
+                         C=rng.standard_normal((p, n)), Q=G @ G.T / p)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 24), p=st.integers(1, 3), r=st.integers(0, 6),
+       substeps=st.integers(1, 5), t_over_tau=st.sampled_from([0.5, 1.0, 0.3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_gramian_matches_snapshot_flow(n, p, r, substeps, t_over_tau,
+                                              seed):
+    system = random_system(n, p, seed)
+    cfg = SolverConfig(T=1.0, n_t=8, substeps=substeps)
+    cache = FlowCache(system, cfg)
+    rng = np.random.default_rng(seed + 1)
+    F = LowRankFactor(rng.standard_normal((n, r)),
+                      np.diag(rng.uniform(0.1, 1.0, r)))
+    t = t_over_tau * cfg.tau
+    got = apply_exp_F(t, F, system, cfg, cache)
+    want = snapshot_exp_F(t, F, system, cfg, cache)
+    assert got.rank == want.rank
+    X_got, X_want = got.to_dense(), want.to_dense()
+    assert (np.linalg.norm(X_got - X_want, 2)
+            <= 1e-12 * np.linalg.norm(X_want, 2))
+    # a second flow of the same length reuses the same Gramian factor
+    assert cache.gramian(t) is cache.gramian(t)
+
+
+@pytest.mark.parametrize("q, extra", [(1.0, 1), (0.0, 0)])
+def test_solve_compresses_the_gramian_once(monkeypatch, q, extra):
+    system = small_system()
+    system.Q = np.array([[q]])
+    cfg = SolverConfig(T=1.0, n_t=6, substeps=2)
+    calls = []
+
+    def counting_compress(F, tol):
+        calls.append(tol)
+        return compress(F, tol)
+
+    rng = np.random.default_rng(3)
+    X0 = LowRankFactor(rng.standard_normal((system.n, 2)), np.eye(2))
+    monkeypatch.setattr(dre, "compress", counting_compress)
+    solve_dre(system, X0, cfg)
+    # one for X0, three per Strang step, plus one Gramian at tol = 0
+    assert len(calls) == 1 + 3 * cfg.n_t + extra
+    assert calls.count(0.0) == extra
 
 
 # -- Strang stepping --------------------------------------------------------

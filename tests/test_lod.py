@@ -164,7 +164,7 @@ def test_patch_dofs_match_incidence_reference(domain):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
-            dof_free, _, hat_free = lod._solve_patch(ws, K, patch)
+            [(dof_free, _, hat_free)] = lod._solve_patch(ws, [K], patch)
             assert hat_free.size > 0
             expected = reference_patch_dofs(coarse, fine, patch)
             assert np.array_equal(dof_free, ws.free_index[expected])
@@ -206,10 +206,11 @@ def test_element_rhs_matches_ancestor_rule(small):
     ws = lod._Workspace(fine, coarse, kappa)
     for K in (0, 7, coarse.n_triangles - 1):
         patch = lod.patch_elements(coarse, K, 1)
-        dof_free, cols, _ = lod._solve_patch(ws, K, patch)
+        [(dof_free, cols, _)] = lod._solve_patch(ws, [K], patch)
         dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
         assert np.array_equal(dof_free, dofs)
-        assert np.array_equal(cols, lod._constrained_solve(Spp, Cp, rhs))
+        assert np.array_equal(
+            cols, lod._constrained_solve(lod._factor_spd(Spp), Cp, rhs))
 
 
 @pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
@@ -221,7 +222,7 @@ def test_schur_solve_matches_saddle_lu(domain):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
-            _, cols, _ = lod._solve_patch(ws, K, patch)
+            [(_, cols, _)] = lod._solve_patch(ws, [K], patch)
             _, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
             expected = saddle_lu_reference(Spp, Cp, rhs)
             assert cols.shape == expected.shape
@@ -239,7 +240,7 @@ def test_rank_deficient_constraints_name_the_element(small):
     keep[hat_free[0]] = 0.0
     ws.I_free = (sp.diags(keep) @ ws.I_free).tocsr()
     with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
-        lod._solve_patch(ws, K, lod.patch_elements(coarse, K, 1))
+        lod._solve_patch(ws, [K], lod.patch_elements(coarse, K, 1))
 
 
 # -- correctors ----------------------------------------------------------
@@ -249,7 +250,7 @@ def test_corrector_columns_local_and_in_kernel(small):
     I_free = lod.clement_interpolation(fine, coarse)
     ws = lod._Workspace(fine, coarse, small["kappa"])
     patch = lod.patch_elements(coarse, 3, 1)
-    dof_free, cols, hat_free = lod._solve_patch(ws, 3, patch)
+    [(dof_free, cols, hat_free)] = lod._solve_patch(ws, [3], patch)
     assert hat_free.size > 0
     assert cols.shape == (dof_free.size, hat_free.size)
     # support stays inside the patch
@@ -265,7 +266,7 @@ def test_corrector_energy_bound(small):
     ws = lod._Workspace(fine, coarse, kappa, system=system)
     K = 7
     patch = lod.patch_elements(coarse, K, 2)
-    dof_free, cols, hats = lod._solve_patch(ws, K, patch)
+    [(dof_free, cols, hats)] = lod._solve_patch(ws, [K], patch)
     hat_verts = coarse.triangles[K][ws.coarse_free_index[coarse.triangles[K]] >= 0]
     T = fine.triangles[mm.descendant_triangles(coarse, fine, K)]
     SK = asm._accumulate(T, fine.n_vertices,
@@ -287,7 +288,8 @@ def test_corrector_zero_rhs_gives_zero(small):
     K = 4
     patch = lod.patch_elements(coarse, K, 1)
     _, Spp, Cp, rhs = ancestor_rule_problem(ws, small["kappa"], K, patch)
-    cols = lod._constrained_solve(Spp, Cp, np.zeros_like(rhs))
+    cols = lod._constrained_solve(lod._factor_spd(Spp), Cp,
+                                  np.zeros_like(rhs))
     assert cols.shape == rhs.shape
     assert np.abs(cols).max() == 0.0
 
@@ -374,14 +376,55 @@ def test_decay_profile_monotone(small):
     assert e[-1] <= 1e-10 * (e[0] + 1e-30)
 
 
-def test_parallel_build_bitwise_deterministic(small):
-    coarse, fine = small["coarse"], small["fine"]
-    b1 = lod.build_lod_basis(fine, coarse, small["kappa"], 2,
-                             small["system"], workers=1)
-    b2 = lod.build_lod_basis(fine, coarse, small["kappa"], 2,
-                             small["system"], workers=4)
-    assert (b1.Rh != b2.Rh).nnz == 0
-    assert np.array_equal(b1.Rh.data, b2.Rh.data)
+def per_element_basis(fine, coarse, kappa, k, system):
+    """Rh built one element at a time, each with its own factorization of
+    the patch stiffness."""
+    ws = lod._Workspace(fine, coarse, kappa, system=system)
+    rows, cols, vals = [], [], []
+    for K in range(coarse.n_triangles):
+        patch = lod.patch_elements(coarse, K, k)
+        [(dofs, qcols, hats)] = lod._solve_patch(ws, [K], patch)
+        for j, zf in enumerate(hats):
+            rows.append(dofs)
+            cols.append(np.full(dofs.size, zf))
+            vals.append(qcols[:, j])
+    Q = sp.coo_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(fine.n_free, coarse.n_free)).tocsr()
+    return (ws.P_free - Q).tocsr()
+
+
+@pytest.mark.parametrize("level, n_patches", [(0, 2), (1, 22)])
+def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
+    # elements with the same patch share one factorization of its
+    # stiffness; the basis equals the per-element build bit for bit
+    chain = mesh_chain(3)
+    coarse, fine = chain[level], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    system = make_system(fine, kappa)
+    k = lod.default_patch_radius(coarse)
+    ws = lod._Workspace(fine, coarse, kappa)
+    distinct = {lod.patch_elements(coarse, K, k).tobytes()
+                for K in range(coarse.n_triangles) if ws.free_hats(K)[0].size}
+    assert len(distinct) == n_patches
+
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(lod, "splu", counting_splu)
+        basis = lod.build_lod_basis(fine, coarse, kappa, k, system)
+    assert len(calls) == n_patches
+    assert basis.stats["patch_factorizations"] == n_patches
+    assert basis.stats["n_elements"] == coarse.n_triangles
+
+    expected = per_element_basis(fine, coarse, kappa, k, system)
+    assert np.array_equal(basis.Rh.indptr, expected.indptr)
+    assert np.array_equal(basis.Rh.indices, expected.indices)
+    assert np.array_equal(basis.Rh.data, expected.data)
 
 
 def test_patch_and_radius_validation(small):

@@ -65,6 +65,8 @@ def test_sparse_cholesky_factorizes(setup):
         X = np.eye(n)
         G = c.factor_tmul(X)            # G^T, rows of the factor transpose
         assert np.allclose(G.T @ G, setup[key].toarray(), atol=1e-12)
+        # the solve inverts the same permuted factor: (P^T L)^-1 A = L^T P
+        assert np.allclose(c.factor_solve(setup[key] @ X), G, atol=1e-12)
 
 
 def test_thin_qr_r_matches_numpy_up_to_row_signs(setup):
@@ -153,6 +155,6 @@ def test_triangle_inequality(setup):
 
 def test_cholesky_rejects_indefinite():
     import scipy.sparse as sp
-    A = sp.diags([1.0, -1.0, 2.0]).tocsr()
-    with pytest.raises(np.linalg.LinAlgError):
-        norms.SparseCholesky(A)
+    for d in ([1.0, -1.0, 2.0], [1.0, 0.0]):
+        with pytest.raises(np.linalg.LinAlgError):
+            norms.SparseCholesky(sp.diags(d).tocsr())
