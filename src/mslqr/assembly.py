@@ -233,9 +233,11 @@ def assemble_input_squares(mesh: TriMesh, squares,
                            all_nodes: bool = False) -> np.ndarray:
     """Input matrix for characteristic functions of axis-aligned squares.
 
-    Column j holds int_{square_j} phi_i, computed exactly by clipping each
-    triangle against the square and integrating the linear hat over the
-    clipped polygon (area times the mean of its corner values).
+    Column j holds int_{square_j} phi_i, computed exactly.  A triangle
+    whose bounding box lies in the closed square adds |T|/3 to each of
+    its vertices; a triangle that crosses a square edge is clipped against
+    the square, and the linear hat is integrated over the clipped polygon
+    (area times the mean of its corner values).
     Squares are (x0, y0, x1, y1) tuples.
     """
     area, b, c = _p1_geometry(mesh)
@@ -250,9 +252,14 @@ def assemble_input_squares(mesh: TriMesh, squares,
     maxs = v.max(axis=1)
     for col, rect in enumerate(squares):
         x0, y0, x1, y1 = rect
-        cand = np.nonzero((mins[:, 0] < x1) & (maxs[:, 0] > x0)
-                          & (mins[:, 1] < y1) & (maxs[:, 1] > y0))[0]
-        for t in cand:
+        cand = ((mins[:, 0] < x1) & (maxs[:, 0] > x0)
+                & (mins[:, 1] < y1) & (maxs[:, 1] > y0))
+        inside = cand & ((mins[:, 0] >= x0) & (maxs[:, 0] <= x1)
+                         & (mins[:, 1] >= y0) & (maxs[:, 1] <= y1))
+        B[:, col] = np.bincount(mesh.triangles[inside].ravel(),
+                                np.repeat(area[inside] / 3.0, 3),
+                                minlength=mesh.n_vertices)
+        for t in np.flatnonzero(cand & ~inside):
             poly = _clip_to_rect(v[t], rect)
             if not poly:
                 continue

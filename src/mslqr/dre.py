@@ -75,9 +75,11 @@ class FlowCache:
         self.dt_base = (0.5 * cfg.tau) / cfg.substeps
         self._ops = {}
         self._gramians = {}
-        self.lu_mass = splu(system.M.tocsc())
         if system.p > 0 and np.any(system.Q):
-            self.W = self.lu_mass.solve(np.ascontiguousarray(system.C.T))
+            # the mass factor is dropped at once: at n=65025 it holds
+            # about 99 MiB, and no later step uses it
+            self.W = splu(system.M.tocsc()).solve(
+                np.ascontiguousarray(system.C.T))
         else:
             self.W = None
 

@@ -23,22 +23,25 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import (CoefficientField, LqrSystem, _accumulate,
-                       _element_stiffness, assemble_mass, assemble_stiffness,
-                       restrict_system)
+from .assembly import (CoefficientField, LqrSystem, _element_stiffness,
+                       assemble_mass, assemble_stiffness, restrict_system)
 from .mesh import TriMesh, descendant_triangles, prolongation
 from .runtime import single_thread_blas
 
 
 def clement_interpolation(fine: TriMesh, coarse: TriMesh,
-                          all_nodes: bool = False) -> sp.csr_matrix:
+                          all_nodes: bool = False,
+                          P_full: sp.csr_matrix | None = None
+                          ) -> sp.csr_matrix:
     """Mass-weighted nodal averaging onto the coarse space.
 
     Row z maps a fine coefficient vector v to <v, phi_z^H> / <1, phi_z^H>.
     By default rows run over the free coarse nodes and columns over the
-    free fine nodes.
+    free fine nodes.  ``P_full`` is the all-nodes prolongation of the mesh
+    pair, when the caller already holds it.
     """
-    P = prolongation(coarse, fine, all_nodes=True)
+    P = (prolongation(coarse, fine, all_nodes=True) if P_full is None
+         else P_full)
     Mf = assemble_mass(fine, all_nodes=True)
     W = (P.T @ Mf).tocsr()
     d = np.asarray(W.sum(axis=1)).ravel()
@@ -89,20 +92,68 @@ class _Workspace:
         self.coarse = coarse
         self.P_full = prolongation(coarse, fine, all_nodes=True)
         self.P_free = self.P_full[fine.free_nodes][:, coarse.free_nodes].tocsr()
-        self.I_free = clement_interpolation(fine, coarse)
+        self.I_free = clement_interpolation(fine, coarse, P_full=self.P_full)
         self.S_free = (system.S if system is not None
                        else assemble_stiffness(fine, kappa)).tocsr()
-        self.element_stiffness = _element_stiffness(fine, kappa,
-                                                    fine.triangles)
+        # per fine triangle t, the 3 x 3 block [t] couples its local hats
+        self.element_stiffness = np.ascontiguousarray(
+            _element_stiffness(fine, kappa, fine.triangles).transpose(2, 0, 1))
         self.valence = np.bincount(fine.triangles.ravel())  # per vertex
         self.free_index = np.full(fine.n_vertices, -1, dtype=np.int64)
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
         self.coarse_free_index = np.full(coarse.n_vertices, -1, dtype=np.int64)
         self.coarse_free_index[coarse.free_nodes] = np.arange(coarse.n_free)
+        # the entries of P_full sorted by the key row * n_coarse + column
+        P = self.P_full
+        keys = (np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
+                * coarse.n_vertices + P.indices)
+        order = np.argsort(keys)
+        self._P_keys, self._P_vals = keys[order], P.data[order]
 
     def free_hats(self, K):
         zf = self.coarse_free_index[self.coarse.triangles[K]]
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
+
+    def prolongation_values(self, verts, hat_verts):
+        """P_full[v, z] for every fine vertex v in ``verts`` (any shape)
+        and coarse vertex z in ``hat_verts``, as a dense array of shape
+        verts.shape + hat_verts.shape."""
+        q = verts[..., None] * self.coarse.n_vertices + hat_verts
+        pos = np.minimum(np.searchsorted(self._P_keys, q),
+                         self._P_keys.size - 1)
+        return np.where(self._P_keys[pos] == q, self._P_vals[pos], 0.0)
+
+    def element_rhs(self, K, hat_verts, local, n_local):
+        """int_K kappa grad(phi_z).grad(phi_i) for the coarse hats z of
+        ``hat_verts`` (columns) and the fine vertices i (rows, numbered by
+        the map ``local`` onto 0 .. n_local - 1), summed triangle by
+        triangle in the order of K's descendants."""
+        tri_ids = descendant_triangles(self.coarse, self.fine, K)
+        T = self.fine.triangles[tri_ids]
+        per_vertex = np.einsum("tab,tbh->tah", self.element_stiffness[tri_ids],
+                               self.prolongation_values(T, hat_verts))
+        nh = hat_verts.size
+        rows = local[T][:, :, None] * nh + np.arange(nh)
+        return np.bincount(rows.ravel(), per_vertex.ravel(),
+                           minlength=n_local * nh).reshape(n_local, nh)
+
+
+def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
+    """(data, indices, indptr) of the rows ``rows`` of the CSR matrix A,
+    keeping the columns that ``col_pos`` maps to positions >= 0 (-1 drops
+    a column) and numbering them by those positions, in one step.
+
+    Entries keep A's order within each row, sorted or not.  Read as CSR
+    the arrays are the submatrix; read as CSC, its transpose.
+    """
+    starts = A.indptr[rows]
+    lens = A.indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    idx = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    pos = col_pos[A.indices[idx]]
+    keep = pos >= 0
+    kept = np.concatenate([[0], np.cumsum(keep)])
+    return A.data[idx[keep]], pos[keep], kept[np.concatenate([[0], ends])]
 
 
 def _factor_spd(S):
@@ -137,12 +188,14 @@ def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
     empty results for an element with no free coarse hat.  The dofs are
     the free patch vertices whose fine triangles all lie in the patch, so
     the patch stiffness Spp is SPD; it is factored once for all the
-    elements.  Each element's right-hand side int_K kappa
-    grad(phi_z).grad(phi_i) is assembled over the patch vertices.  The
-    columns minimize the energy subject to the quasi-interpolation rows Cp
-    of the patch's free coarse nodes, solved by `_constrained_solve`; a
-    singular Spp or a rank-deficient Cp raises LinAlgError naming the
-    element.
+    elements.  Spp and Cp are gathered straight from the CSR arrays of
+    S_free and I_free, and each element's right-hand side int_K kappa
+    grad(phi_z).grad(phi_i) is summed over the patch vertices by
+    `_Workspace.element_rhs`, so the sparse work per patch is one
+    factorization and one solve per element.  The columns minimize the
+    energy subject to the quasi-interpolation rows Cp of the patch's free
+    coarse nodes, solved by `_constrained_solve`; a singular Spp or a
+    rank-deficient Cp raises LinAlgError naming the element.
     """
     hats = [ws.free_hats(K) for K in elements]
     out = [(np.empty(0, np.int64), np.zeros((0, 0)), hat_free)
@@ -153,26 +206,34 @@ def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
     fine = ws.fine
     K = elements[with_hats[0]]
     tri_ids = descendant_triangles(ws.coarse, fine, patch)
-    verts, counts = np.unique(fine.triangles[tri_ids], return_counts=True)
-    inside = (counts == ws.valence[verts]) & (ws.free_index[verts] >= 0)
+    counts = np.bincount(fine.triangles[tri_ids].ravel(),
+                         minlength=fine.n_vertices)
+    verts = np.flatnonzero(counts)
+    inside = ((counts[verts] == ws.valence[verts])
+              & (ws.free_index[verts] >= 0))
     if not inside.any():
         raise np.linalg.LinAlgError(
             f"element {K}: patch has no interior fine nodes")
     dof_free = ws.free_index[verts[inside]]
+    local = np.empty(fine.n_vertices, dtype=np.int64)
+    local[verts] = np.arange(verts.size)
+    dof_pos = np.full(fine.n_free, -1, dtype=np.int64)
+    dof_pos[dof_free] = np.arange(dof_free.size)
 
     cverts = np.unique(ws.coarse.triangles[patch])
     c_free = ws.coarse_free_index[cverts]
-    Cp = ws.I_free[c_free[c_free >= 0]][:, dof_free]
-    P_verts = ws.P_full[verts]
+    c_free = c_free[c_free >= 0]
+    Cp = sp.csr_matrix(_gather(ws.I_free, c_free, dof_pos),
+                       shape=(c_free.size, dof_free.size))
+    # S_free is symmetric, so its patch rows read as columns are Spp
+    Spp = sp.csc_matrix(_gather(ws.S_free, dof_free, dof_pos),
+                        shape=(dof_free.size, dof_free.size))
     try:
-        lu = _factor_spd(ws.S_free[dof_free][:, dof_free])
+        lu = _factor_spd(Spp)
         for i in with_hats:
             K = elements[i]
             hat_verts, hat_free = hats[i]
-            K_ids = descendant_triangles(ws.coarse, fine, K)
-            SK = _accumulate(np.searchsorted(verts, fine.triangles[K_ids]),
-                             verts.size, ws.element_stiffness[:, :, K_ids])
-            rhs_K = (SK @ P_verts[:, hat_verts]).toarray()[inside]
+            rhs_K = ws.element_rhs(K, hat_verts, local, verts.size)[inside]
             out[i] = (dof_free, _constrained_solve(lu, Cp, rhs_K), hat_free)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(

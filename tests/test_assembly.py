@@ -233,3 +233,85 @@ def test_lqr_system_defaults():
     assert (sys_.n, sys_.m, sys_.p) == (9, 3, 1)
     assert np.array_equal(sys_.Q, np.eye(1))
     assert np.array_equal(sys_.R, np.eye(3))
+
+
+def clipped_input_squares(mesh, squares):
+    """Input matrix with every candidate triangle clipped against the
+    square (the path that closed-form interior triangles replaced)."""
+    area, b, c = asm._p1_geometry(mesh)
+    v = mesh.vertices[mesh.triangles]
+    aa = np.stack([v[:, 1, 0] * v[:, 2, 1] - v[:, 2, 0] * v[:, 1, 1],
+                   v[:, 2, 0] * v[:, 0, 1] - v[:, 0, 0] * v[:, 2, 1],
+                   v[:, 0, 0] * v[:, 1, 1] - v[:, 1, 0] * v[:, 0, 1]], axis=1)
+    B = np.zeros((mesh.n_vertices, len(squares)))
+    mins, maxs = v.min(axis=1), v.max(axis=1)
+    for col, rect in enumerate(squares):
+        x0, y0, x1, y1 = rect
+        cand = np.nonzero((mins[:, 0] < x1) & (maxs[:, 0] > x0)
+                          & (mins[:, 1] < y1) & (maxs[:, 1] > y0))[0]
+        for t in cand:
+            poly = asm._clip_to_rect(v[t], rect)
+            if not poly:
+                continue
+            px = np.array([p[0] for p in poly])
+            py = np.array([p[1] for p in poly])
+            lam = (aa[t][:, None] + np.outer(b[t], px)
+                   + np.outer(c[t], py)) / (2.0 * area[t])
+            for i in range(len(poly) - 2):
+                ids = [0, i + 1, i + 2]
+                sub = 0.5 * ((px[ids[1]] - px[ids[0]]) * (py[ids[2]] - py[ids[0]])
+                             - (px[ids[2]] - px[ids[0]]) * (py[ids[1]] - py[ids[0]]))
+                B[mesh.triangles[t], col] += sub * lam[:, ids].mean(axis=1)
+    return B
+
+
+def mesh_level(domain, j):
+    m = mm.build_base_mesh(domain())
+    for _ in range(j):
+        m = mm.refine_uniform(m)
+    return m
+
+
+@pytest.mark.parametrize("domain, squares", [
+    (mm.unit_square, grid_squares()),
+    (mm.l_shape, [(0.15, 0.15, 0.35, 0.35), (0.65, 0.65, 0.85, 0.85),
+                  (0.3, 0.4, 0.6, 0.7)]),
+])
+def test_input_squares_match_clipping(domain, squares):
+    # closed-form interior triangles agree with clipping every triangle,
+    # also for squares shifted off the mesh lines by a third of a cell
+    for j in (0, 2, 4):
+        m = mesh_level(domain, j)
+        third = m.pitch / 3
+        for shift in (0.0, third):
+            moved = [(x0 + shift, y0 + shift, x1 + shift, y1 + shift)
+                     for x0, y0, x1, y1 in squares]
+            B = asm.assemble_input_squares(m, moved, all_nodes=True)
+            ref = clipped_input_squares(m, moved)
+            scale = np.abs(ref).max(axis=0)
+            assert (np.abs(B - ref) <= 1e-14 * np.where(scale, scale, 1)).all()
+
+
+def test_input_squares_clip_only_crossing_triangles(monkeypatch):
+    # squares on the mesh lines clip nothing from the level where the
+    # mesh resolves them; shifted squares clip exactly the triangles that
+    # cross an edge
+    calls = []
+    clip = asm._clip_to_rect
+
+    def counting_clip(tri, rect):
+        calls.append(rect)
+        return clip(tri, rect)
+
+    monkeypatch.setattr(asm, "_clip_to_rect", counting_clip)
+    for j in (2, 3, 4):
+        asm.assemble_input_squares(unit_square_level(j), grid_squares())
+    assert calls == []
+    m = unit_square_level(3)
+    square = np.array(grid_squares()[0]) + m.pitch / 3
+    asm.assemble_input_squares(m, [tuple(square)])
+    v = m.vertices[m.triangles]
+    lo, hi = v.min(axis=1), v.max(axis=1)
+    touching = ((lo < square[2:]) & (hi > square[:2])).all(axis=1)
+    inside = ((lo >= square[:2]) & (hi <= square[2:])).all(axis=1)
+    assert 0 < len(calls) == (touching & ~inside).sum()

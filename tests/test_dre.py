@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,18 @@ def test_exp_f_semigroup_composition():
     scale = np.linalg.norm(X1, 2)
     assert np.linalg.norm(X1 - X2, 2) <= 10 * cfg.compress_tol * scale
 
+
+
+def test_flow_cache_keeps_no_mass_factor():
+    # W = M^-1 C^T is formed in the constructor, and the mass factor it
+    # came from is not kept
+    system = small_system()
+    cache = FlowCache(system, SolverConfig(T=1.0, n_t=16))
+    W = splu(system.M.tocsc()).solve(np.ascontiguousarray(system.C.T))
+    assert np.array_equal(cache.W, W)
+    held = [name for name, value in vars(cache).items()
+            if type(value).__name__ == "SuperLU"]
+    assert held == []
 
 def snapshot_exp_F(t, F, system, cfg, cache):
     """The affine flow with the factor and the output snapshots propagated

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -80,6 +82,30 @@ def test_clement_rejects_non_nested():
     b = mm.build_base_mesh(mm.l_shape())
     with pytest.raises(ValueError):
         lod.clement_interpolation(b, a)
+
+
+def test_workspace_builds_one_prolongation(monkeypatch, small):
+    # the quasi-interpolation reuses the workspace's all-nodes
+    # prolongation, and I_free keeps the bits of a standalone build
+    coarse, fine = small["coarse"], small["fine"]
+    calls = []
+    prolongation = lod.prolongation
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prolongation(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(lod, "prolongation", counting)
+        ws = lod._Workspace(fine, coarse, small["kappa"])
+    assert len(calls) == 1
+
+    def sha256(A):
+        return hashlib.sha256(b"".join(
+            np.ascontiguousarray(a).tobytes()
+            for a in (A.indptr, A.indices, A.data))).hexdigest()
+
+    assert sha256(ws.I_free) == sha256(lod.clement_interpolation(fine, coarse))
 
 
 # -- patches -------------------------------------------------------------
@@ -170,24 +196,44 @@ def test_patch_dofs_match_incidence_reference(domain):
             assert np.array_equal(dof_free, ws.free_index[expected])
 
 
-def ancestor_rule_problem(ws, kappa, K, patch):
-    """(dofs, Spp, Cp, rhs) of element K's corrector problem on a patch,
-    with the dofs from the incidence reference and the right-hand side
-    assembled over the whole fine mesh from the ancestor rule."""
+def ancestor_rule_rhs(ws, kappa, K, contract=True):
+    """Element K's right-hand side int_K kappa grad(phi_z).grad(phi_i)
+    over all fine vertices i, from the triangles the ancestor rule assigns
+    to K.  With ``contract`` each triangle's stiffness block is contracted
+    with the hat values at its corners and the products are summed in
+    triangle order, as `_Workspace.element_rhs` does; otherwise the
+    triangles' stiffness is assembled by `_accumulate` and multiplied by
+    the prolongation columns."""
     coarse, fine = ws.coarse, ws.fine
     steps = len(mm.lineage(coarse, fine)) - 1
     anc = np.arange(fine.n_triangles) // 4 ** steps
     T = fine.triangles[anc == K]
-    SK = asm._accumulate(T, fine.n_vertices,
-                         asm._element_stiffness(fine, kappa, T))
+    E = asm._element_stiffness(fine, kappa, T)
     hat_verts, _ = ws.free_hats(K)
-    rhs = (SK @ mm.prolongation(coarse, fine, all_nodes=True)[:, hat_verts])
+    P = mm.prolongation(coarse, fine, all_nodes=True)[:, hat_verts]
+    if not contract:
+        return (asm._accumulate(T, fine.n_vertices, E) @ P).toarray()
+    per_vertex = np.einsum("tab,tbh->tah",
+                           np.ascontiguousarray(E.transpose(2, 0, 1)),
+                           P.toarray()[T])
+    nh = hat_verts.size
+    rows = T[:, :, None] * nh + np.arange(nh)
+    return np.bincount(rows.ravel(), per_vertex.ravel(),
+                       minlength=fine.n_vertices * nh).reshape(-1, nh)
+
+
+def ancestor_rule_problem(ws, kappa, K, patch, contract=True):
+    """(dofs, Spp, Cp, rhs) of element K's corrector problem on a patch,
+    with the dofs from the incidence reference, the patch matrices sliced
+    by SciPy and the right-hand side from `ancestor_rule_rhs`."""
+    coarse, fine = ws.coarse, ws.fine
     dofs = reference_patch_dofs(coarse, fine, patch)
     c_free = ws.coarse_free_index[np.unique(coarse.triangles[patch])]
     c_free = c_free[c_free >= 0]
     dof_free = ws.free_index[dofs]
     return (dof_free, ws.S_free[dof_free][:, dof_free],
-            ws.I_free[c_free][:, dof_free], rhs.toarray()[dofs])
+            ws.I_free[c_free][:, dof_free],
+            ancestor_rule_rhs(ws, kappa, K, contract)[dofs])
 
 
 def saddle_lu_reference(Spp, Cp, rhs):
@@ -200,8 +246,9 @@ def saddle_lu_reference(Spp, Cp, rhs):
 
 def test_element_rhs_matches_ancestor_rule(small):
     # the corrector columns equal, bit for bit, those of the same
-    # constrained solve whose right-hand side is assembled over the whole
-    # fine mesh from the ancestor rule
+    # constrained solve whose right-hand side is summed over the whole
+    # fine mesh from the ancestor rule, and match the assembled-matrix
+    # right-hand side to roundoff
     coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
     ws = lod._Workspace(fine, coarse, kappa)
     for K in (0, 7, coarse.n_triangles - 1):
@@ -209,8 +256,72 @@ def test_element_rhs_matches_ancestor_rule(small):
         [(dof_free, cols, _)] = lod._solve_patch(ws, [K], patch)
         dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
         assert np.array_equal(dof_free, dofs)
-        assert np.array_equal(
-            cols, lod._constrained_solve(lod._factor_spd(Spp), Cp, rhs))
+        lu = lod._factor_spd(Spp)
+        assert np.array_equal(cols, lod._constrained_solve(lu, Cp, rhs))
+        *_, rhs_acc = ancestor_rule_problem(ws, kappa, K, patch,
+                                            contract=False)
+        expected = lod._constrained_solve(lu, Cp, rhs_acc)
+        assert (np.abs(cols - expected).max()
+                <= 1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
+    # the Spp and Cp that a patch solve factors and constrains with equal
+    # SciPy's two-step slices; Cp keeps I_free's (unsorted) entry order,
+    # which fixes the summation order of Cp @ X
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    assert not ws.I_free.has_sorted_indices
+    seen = []
+    factor_spd, constrained_solve = lod._factor_spd, lod._constrained_solve
+
+    def capture_factor(Spp):
+        seen.append(Spp)
+        return factor_spd(Spp)
+
+    def capture_solve(lu, Cp, rhs):
+        seen.append(Cp)
+        return constrained_solve(lu, Cp, rhs)
+
+    monkeypatch.setattr(lod, "_factor_spd", capture_factor)
+    monkeypatch.setattr(lod, "_constrained_solve", capture_solve)
+    for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
+        for k in (1, 2, 3):
+            patch = lod.patch_elements(coarse, K, k)
+            seen.clear()
+            lod._solve_patch(ws, [K], patch)
+            Spp, Cp = seen
+            _, Spp_ref, Cp_ref, _ = ancestor_rule_problem(ws, kappa, K, patch)
+            for A, ref in ((Spp, Spp_ref), (Cp, Cp_ref)):
+                assert A.shape == ref.shape and A.nnz == ref.nnz
+                assert np.array_equal(A.toarray(), ref.toarray())
+            assert Spp.format == "csc" and Cp.format == "csr"
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(Cp, name), getattr(Cp_ref, name))
+
+
+def test_gather_keeps_unsorted_rows():
+    # a row-and-column gather of a CSR matrix whose rows are stored out of
+    # column order equals the two-step slice, entry order included
+    rng = np.random.default_rng(3)
+    A = sp.random(30, 40, density=0.3, random_state=rng, format="csr")
+    for r in range(A.shape[0]):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        perm = lo + rng.permutation(hi - lo)
+        A.indices[lo:hi], A.data[lo:hi] = A.indices[perm], A.data[perm]
+    A.has_sorted_indices = False
+    rows = np.array([3, 0, 17, 29, 5])
+    cols = np.array([1, 4, 9, 10, 22, 38, 39])
+    col_pos = np.full(A.shape[1], -1)
+    col_pos[cols] = np.arange(cols.size)
+    data, indices, indptr = lod._gather(A, rows, col_pos)
+    ref = A[rows][:, cols]
+    assert np.array_equal(indptr, ref.indptr)
+    assert np.array_equal(indices, ref.indices)
+    assert np.array_equal(data, ref.data)
 
 
 @pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])

@@ -274,6 +274,26 @@ def test_property_exp_g_then_compress_keeps_psd(n, r, m, t, seed):
     assert lam.min() >= -1e-12 * lam.max()
 
 
+
+@PROPERTY
+@given(n=st.integers(1, 30), r=st.integers(0, 6), q=st.integers(0, 6),
+       m=st.integers(1, 3), t=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_property_exp_g_matches_dense_formula(n, r, q, m, t, seed):
+    # (I + t X B R^-1 B^T)^-1 X on X = L D L^T with D = G G^T of rank at
+    # most min(r, q), and SPD R; same bound as the fixed Woodbury test
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((r, min(r, q)))
+    F = lr.LowRankFactor(rng.standard_normal((n, r)), G @ G.T)
+    B = rng.standard_normal((n, m))
+    A = rng.standard_normal((m, m))
+    R = A @ A.T + np.eye(m)
+    X = F.to_dense()
+    dense = np.linalg.solve(np.eye(n) + t * X @ B @ np.linalg.solve(R, B.T), X)
+    out = lr.apply_exp_G(t, F, B, R)
+    assert (np.linalg.norm(out.to_dense() - dense, 2)
+            <= 1e-10 * np.linalg.norm(dense, 2))
+
 def test_factor_dump_roundtrip():
     F = random_sym_factor(7, 3, seed=18)
     buf = io.StringIO()
