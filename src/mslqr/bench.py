@@ -146,7 +146,8 @@ def control_squares(domain_kind: str):
     if domain_kind == "unit_square":
         return [(j / 4, j / 4, j / 4 + 1 / 8, j / 4 + 1 / 8) for j in (1, 2, 3)]
     if domain_kind == "l_shape":
-        return [(0.65, 0.65, 0.85, 0.85)]
+        # the lower-right arm of the L; the upper-right quadrant is removed
+        return [(0.65, 0.15, 0.85, 0.35)]
     raise ValueError(f"no control preset for domain {domain_kind!r}")
 
 
@@ -155,8 +156,18 @@ def build_system(mesh, kappa, domain_kind: str) -> LqrSystem:
 
     Unit square: three square control patches, global-integral output.
     L-shape: one control square, output is the mean over [0.15, 0.35]^2.
+    Raises ValueError, before the mass and stiffness matrices are
+    assembled, if a control square covers no area of the domain.
     """
-    B = assemble_input_squares(mesh, control_squares(domain_kind))
+    squares = control_squares(domain_kind)
+    B = assemble_input_squares(mesh, squares, all_nodes=True)
+    # the hats sum to one, so a column sums to the square's area in the
+    # domain
+    for square, covered in zip(squares, B.sum(axis=0)):
+        if not covered > 0:
+            raise ValueError(f"control square {square} covers no area of "
+                             f"the {domain_kind} domain")
+    B = B[mesh.free_nodes]
     if domain_kind == "unit_square":
         C = assemble_output_mean(mesh)
     else:

@@ -15,7 +15,6 @@ low-rank algebra.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 
@@ -187,8 +186,7 @@ class DreSolution:
 
 
 def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
-              store_checkpoints: bool = False,
-              verbose: bool = False) -> DreSolution:
+              store_checkpoints: bool = False) -> DreSolution:
     """Integrate the Riccati equation from X0 over [0, T] with n_t Strang
     steps.  Checkpoints (one factor per step, including the initial one)
     are stored only on request; they are needed for closed-loop simulation.
@@ -213,10 +211,6 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
             ranks.append(X.rank)
             if store_checkpoints:
                 cps.append(X.copy())
-            if verbose:
-                print(f"{j + 1}\t{(j + 1) * cfg.tau:.6g}\t{X.rank}\t"
-                      f"{time.perf_counter() - wall0:.3f}",
-                      file=sys.stderr)
         timings["total"] = time.perf_counter() - wall0
         return DreSolution(X, cps, ranks, timings, cfg)
 

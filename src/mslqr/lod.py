@@ -5,11 +5,14 @@ interpolation onto the coarse mesh.  For every coarse element a constrained
 elliptic problem posed on a k-layer element patch yields corrector columns;
 their sum corrects the nodal interpolation basis, and the coarse system
 matrices are triple products with the fine ones through the corrected
-basis.  Each constrained problem is solved through the small dense Schur
-complement of its quasi-interpolation rows, so the only sparse
-factorization is of the SPD patch stiffness, shared by all elements
-with the same patch.  Element problems are independent and deterministic,
-so the basis is reproducible and reusable across solver runs.
+basis.  The fine dofs strictly inside each coarse element are condensed
+once per build, so a constrained problem is solved on its patch skeleton
+(the patch dofs on coarse edges) through the small dense Schur complement
+of its quasi-interpolation rows, and the element interiors are recovered
+once per element at the end.  The sparse factorizations are one per
+element interior and one per distinct patch skeleton.  Element problems
+are independent and deterministic, so the basis is reproducible and
+reusable across solver runs.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,57 +89,203 @@ def default_patch_radius(coarse: TriMesh) -> int:
 
 
 class _Workspace:
-    """Shared immutable data for all corrector solves of one mesh pair."""
+    """Shared data for all corrector solves of one mesh pair."""
 
     def __init__(self, fine, coarse, kappa, system=None):
         self.fine = fine
         self.coarse = coarse
+        self.kappa = kappa
         self.P_full = prolongation(coarse, fine, all_nodes=True)
         self.P_free = self.P_full[fine.free_nodes][:, coarse.free_nodes].tocsr()
         self.I_free = clement_interpolation(fine, coarse, P_full=self.P_full)
         self.S_free = (system.S if system is not None
                        else assemble_stiffness(fine, kappa)).tocsr()
-        # per fine triangle t, the 3 x 3 block [t] couples its local hats
-        self.element_stiffness = np.ascontiguousarray(
-            _element_stiffness(fine, kappa, fine.triangles).transpose(2, 0, 1))
         self.valence = np.bincount(fine.triangles.ravel())  # per vertex
         self.free_index = np.full(fine.n_vertices, -1, dtype=np.int64)
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
         self.coarse_free_index = np.full(coarse.n_vertices, -1, dtype=np.int64)
         self.coarse_free_index[coarse.free_nodes] = np.arange(coarse.n_free)
-        # the entries of P_full sorted by the key row * n_coarse + column
-        P = self.P_full
-        keys = (np.repeat(np.arange(P.shape[0]), np.diff(P.indptr))
-                * coarse.n_vertices + P.indices)
-        order = np.argsort(keys)
-        self._P_keys, self._P_vals = keys[order], P.data[order]
+        self._condensation = None
 
     def free_hats(self, K):
         zf = self.coarse_free_index[self.coarse.triangles[K]]
         return self.coarse.triangles[K][zf >= 0], zf[zf >= 0]
 
-    def prolongation_values(self, verts, hat_verts):
-        """P_full[v, z] for every fine vertex v in ``verts`` (any shape)
-        and coarse vertex z in ``hat_verts``, as a dense array of shape
-        verts.shape + hat_verts.shape."""
-        q = verts[..., None] * self.coarse.n_vertices + hat_verts
-        pos = np.minimum(np.searchsorted(self._P_keys, q),
-                         self._P_keys.size - 1)
-        return np.where(self._P_keys[pos] == q, self._P_vals[pos], 0.0)
+    @property
+    def condensation(self) -> "_Condensation":
+        """The element interiors' condensation, built at first use."""
+        if self._condensation is None:
+            self._condensation = _Condensation(self)
+        return self._condensation
 
-    def element_rhs(self, K, hat_verts, local, n_local):
-        """int_K kappa grad(phi_z).grad(phi_i) for the coarse hats z of
-        ``hat_verts`` (columns) and the fine vertices i (rows, numbered by
-        the map ``local`` onto 0 .. n_local - 1), summed triangle by
-        triangle in the order of K's descendants."""
-        tri_ids = descendant_triangles(self.coarse, self.fine, K)
-        T = self.fine.triangles[tri_ids]
-        per_vertex = np.einsum("tab,tbh->tah", self.element_stiffness[tri_ids],
-                               self.prolongation_values(T, hat_verts))
-        nh = hat_verts.size
-        rows = local[T][:, :, None] * nh + np.arange(nh)
-        return np.bincount(rows.ravel(), per_vertex.ravel(),
-                           minlength=n_local * nh).reshape(n_local, nh)
+
+def _entries(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
+    """A[rows, cols] elementwise for broadcast index arrays, as a dense
+    array; a negative index reads 0.  A holds no duplicate entries."""
+    keys = (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * A.shape[1]
+            + A.indices)
+    order = np.argsort(keys)
+    keys, vals = keys[order], A.data[order]
+    q = rows * A.shape[1] + cols
+    pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+    return np.where((keys[pos] == q) & (rows >= 0) & (cols >= 0),
+                    vals[pos], 0.0)
+
+
+def _block(rows, cols, sel, shape):
+    """(entries, indices, indptr): the CSR pattern, in a block of this
+    shape, of the distinct entries (rows[sel], cols[sel]), and which of
+    all the entries fill it, in CSR order."""
+    idx = np.flatnonzero(sel)
+    A = sp.csr_matrix((np.arange(1.0, idx.size + 1), (rows[idx], cols[idx])),
+                      shape=shape)
+    A.sort_indices()
+    return idx[A.data.astype(np.int64) - 1], A.indices, A.indptr
+
+
+class _Condensation:
+    """The fine dofs strictly inside each coarse element, eliminated once.
+
+    Uniform refinement gives every coarse element the same local topology,
+    so its fine vertices are numbered once: first the n_I vertices with six
+    local triangles, strictly inside the element and always free, then the
+    n_B on its edges.  With E the element's assembled stiffness, Ic its
+    interior quasi-interpolation rows (one per corner, zero for a Dirichlet
+    corner; no other row touches the interior) and r = E P the element
+    right-hand side of its corner hats, it holds per element:
+
+    - the values of E_II, factored again where needed (`factor_interior`),
+      and of E_IB;
+    - r, the condensed right-hand side rt = r_B - E_BI E_II^-1 r_I on the
+      edges and, corner by corner, D = Ic E_II^-1 Ic^T and
+      g = Ic E_II^-1 r_I.
+
+    Over the whole mesh, on the free nodes, it holds S_skel, the sum of
+    the elements' Schur complements E_BB - E_BI E_II^-1 E_IB, and C_skel,
+    the quasi-interpolation rows off the element interiors minus the
+    boundary images E_BI E_II^-1 Ic^T.  A patch gathers its skeleton rows
+    of both: every element at a patch dof lies in the patch.
+
+    With one refinement between the meshes no vertex is interior, and the
+    condensation is the identity.  Raises ValueError if two elements differ
+    in topology.
+    """
+
+    def __init__(self, ws: _Workspace):
+        fine, coarse = ws.fine, ws.coarse
+        n_el = coarse.n_triangles
+        T = fine.triangles[descendant_triangles(
+            coarse, fine, np.arange(n_el))].reshape(n_el, -1, 3)
+        _, first, loc = np.unique(T[0].ravel(), return_index=True,
+                                  return_inverse=True)
+        local_valence = np.bincount(loc)
+        order = np.argsort(local_valence != 6, kind="stable")
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        loc = rank[loc].reshape(-1, 3)
+        nI = int((local_valence == 6).sum())
+        V = T.reshape(n_el, -1)[:, first[order]]
+        if not (np.array_equal(V[:, loc], T)
+                and (np.diff(np.sort(V, axis=1), axis=1) > 0).all()
+                and (ws.free_index[V[:, :nI]] >= 0).all()):
+            raise ValueError("coarse elements differ in fine topology: "
+                             "the meshes are not a uniform refinement")
+        n_sub, nL = T.shape[1], V.shape[1]
+        nB = nL - nI
+        self.V, self.n_interior = V, nI
+        self.B_valence = local_valence[order][nI:]
+
+        # E's distinct entries (rows, cols), each its triangles' blocks
+        # summed in triangle order
+        keys, inv = np.unique((loc[:, :, None] * nL + loc[:, None, :]).ravel(),
+                              return_inverse=True)
+        rows, cols = np.divmod(keys, nL)
+        ii = _block(rows, cols, (rows < nI) & (cols < nI), (nI, nI))
+        ib = _block(rows, cols - nI, (rows < nI) & (cols >= nI), (nI, nB))
+        bi = _block(rows - nI, cols, (rows >= nI) & (cols < nI), (nB, nI))
+        ib_rc = (rows[ib[0]], cols[ib[0]] - nI)
+        bb = (rows >= nI) & (cols >= nI)
+        bb_rc = (rows[bb] - nI, cols[bb] - nI)
+        self._ii = (np.empty((n_el, ii[0].size)), ii[1], ii[2])
+        self._ib = (np.empty((n_el, ib[0].size)), ib[1], ib[2])
+        Et = _element_stiffness(fine, ws.kappa, T.reshape(-1, 3))
+        # P: the corner hats' prolongation values
+        P = _entries(ws.P_full, V[:, :, None], coarse.triangles[:, None, :])
+        corners = ws.coarse_free_index[coarse.triangles]
+        self.Ic = _entries(ws.I_free, corners[:, :, None],
+                           ws.free_index[V[:, None, :nI]])
+        self.r = np.empty((n_el, nL, 3))
+        self.rt = np.empty((n_el, nB, 3))
+        self.D = np.zeros((n_el, 3, 3))
+        self.g = np.zeros((n_el, 3, 3))
+        S = np.empty((n_el, nB, nB))
+        G = np.zeros((n_el, nB, 3))
+        r_keys = (rows[:, None] * 3 + np.arange(3)).ravel()
+        for e in range(n_el):
+            E = np.bincount(inv, Et[:, :, e * n_sub:(e + 1) * n_sub]
+                            .transpose(2, 0, 1).ravel(), minlength=keys.size)
+            self._ii[0][e], self._ib[0][e] = E[ii[0]], E[ib[0]]
+            r = self.r[e] = np.bincount(r_keys, (E[:, None] * P[e, cols])
+                                        .ravel(), minlength=nL * 3
+                                        ).reshape(nL, 3)
+            S_e = np.zeros((nB, nB))
+            S_e[bb_rc] = E[bb]
+            self.rt[e] = r[nI:]
+            if nI:
+                rhs = np.zeros((nI, nB + 6))
+                rhs[ib_rc] = E[ib[0]]
+                rhs[:, nB:nB + 3], rhs[:, nB + 3:] = self.Ic[e].T, r[:nI]
+                X = _solve_blocks(self.factor_interior(e), rhs)
+                Y = sp.csr_matrix((E[bi[0]], bi[1], bi[2]),
+                                  shape=(nB, nI)) @ X
+                S_e -= Y[:, :nB]
+                G[e] = Y[:, nB:nB + 3]
+                self.rt[e] -= Y[:, nB + 3:]
+                IX = self.Ic[e] @ X[:, nB:]
+                self.D[e], self.g[e] = IX[:, :3], IX[:, 3:]
+            S[e] = 0.5 * (S_e + S_e.T)
+        del Et
+
+        # an off-diagonal entry of S_skel sums at most two elements, so
+        # S_skel is exactly symmetric
+        bf = ws.free_index[V[:, nI:]].astype(np.intc)
+        on = bf >= 0
+        pair = on[:, :, None] & on[:, None, :]
+        self.S_skel = sp.csr_matrix(
+            (S[pair], (np.broadcast_to(bf[:, :, None], pair.shape)[pair],
+                       np.broadcast_to(bf[:, None, :], pair.shape)[pair])),
+            shape=(fine.n_free,) * 2)
+        del S
+        I_free = ws.I_free.tocoo()
+        interior = np.zeros(fine.n_free, dtype=bool)
+        interior[ws.free_index[V[:, :nI]]] = True
+        keep = ~interior[I_free.col]
+        pair = on[:, :, None] & (corners >= 0)[:, None, :]
+        self.C_skel = sp.csr_matrix(
+            (np.concatenate([I_free.data[keep], -G[pair]]),
+             (np.concatenate([I_free.row[keep], np.broadcast_to(
+                 corners[:, None, :], pair.shape)[pair]]),
+              np.concatenate([I_free.col[keep], np.broadcast_to(
+                  bf[:, :, None], pair.shape)[pair]]))),
+            shape=I_free.shape)
+
+    def factor_interior(self, e):
+        """Sparse LU of element e's E_II (`_factor_spd`).  The factors
+        are not kept: 128 of them, of 105 dofs each, held 16 MiB."""
+        data, indices, indptr = self._ii
+        nI = self.n_interior
+        try:
+            return _factor_spd(sp.csc_matrix((data[e], indices, indptr),
+                                             shape=(nI, nI)))
+        except RuntimeError as exc:
+            raise np.linalg.LinAlgError(
+                f"element {e}: singular interior stiffness ({exc})") from exc
+
+    def E_IB(self, e) -> sp.csr_matrix:
+        data, indices, indptr = self._ib
+        nI = self.n_interior
+        return sp.csr_matrix((data[e], indices, indptr),
+                             shape=(nI, self.V.shape[1] - nI))
 
 
 def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
@@ -163,6 +313,21 @@ def _factor_spd(S):
                 options=dict(SymmetricMode=True))
 
 
+# Right-hand-side columns per SuperLU solve.  With BLAS unpinned on two
+# cores, a solve on a 228-dof skeleton factor took 0.318 ms at 1.92 CPU
+# seconds per wall second with 16 columns, and 0.129 ms at 1.00 with 8;
+# 102 columns on a 465-dof element interior ran at 2 CPU seconds per wall
+# second: wider blocks wake the OpenBLAS thread pool.  A real BLAS pin
+# (ROADMAP item 1) ends the need for this limit.
+_SOLVE_COLUMNS = 8
+
+
+def _solve_blocks(lu, rhs: np.ndarray) -> np.ndarray:
+    """lu.solve on at most _SOLVE_COLUMNS columns of rhs at a time."""
+    return np.hstack([lu.solve(rhs[:, i:i + _SOLVE_COLUMNS])
+                      for i in range(0, rhs.shape[1], _SOLVE_COLUMNS)])
+
+
 def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
     """x of the saddle system [[S, C^T], [C, 0]] [x; lam] = [rhs; 0].
 
@@ -180,64 +345,180 @@ def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
     return X[:, :m] - X[:, m:] @ lam
 
 
-def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
-    """Corrector columns of the elements that share one patch.
+class _Skeleton(NamedTuple):
+    """Element K's corrector columns on the skeleton of its patch: the free
+    positions ``dofs`` of the skeleton vertices, the values ``x``, one
+    column per free coarse hat of K (free ids ``hats``), and the
+    multipliers ``lam`` of the patch's quasi-interpolation rows (free
+    coarse ids ``c_free``)."""
 
-    Returns one (free positions of the patch dofs, dense corrector columns,
-    free ids of the coarse hats of K) per element K, in the given order;
-    empty results for an element with no free coarse hat.  The dofs are
-    the free patch vertices whose fine triangles all lie in the patch, so
-    the patch stiffness Spp is SPD; it is factored once for all the
-    elements.  Spp and Cp are gathered straight from the CSR arrays of
-    S_free and I_free, and each element's right-hand side int_K kappa
-    grad(phi_z).grad(phi_i) is summed over the patch vertices by
-    `_Workspace.element_rhs`, so the sparse work per patch is one
-    factorization and one solve per element.  The columns minimize the
-    energy subject to the quasi-interpolation rows Cp of the patch's free
-    coarse nodes, solved by `_constrained_solve`; a singular Spp or a
-    rank-deficient Cp raises LinAlgError naming the element.
+    K: int
+    dofs: np.ndarray
+    x: np.ndarray
+    hats: np.ndarray
+    patch: np.ndarray
+    c_free: np.ndarray
+    lam: np.ndarray
+
+
+def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
+    """Skeleton parts of the corrector columns of the elements that share
+    one patch, one `_Skeleton` per element in the given order (empty for
+    an element with no free coarse hat).
+
+    The patch dofs are its free fine vertices whose fine triangles all lie
+    in the patch; its skeleton is those on coarse edges.  The element
+    interiors are condensed (`_Condensation`), so the patch gathers and
+    factors only the skeleton Schur complement Sc, once for all the
+    elements.  The columns minimize the energy subject to the patch's
+    quasi-interpolation rows C: per element, one solve with Sc for its
+    right-hand side, then the multipliers from the Cholesky factor of
+    Sigma = Ct Sc^-1 Ct^T + D, with Ct the condensed rows.  A singular Sc
+    or a rank-deficient C raises LinAlgError naming the element.
     """
-    hats = [ws.free_hats(K) for K in elements]
-    out = [(np.empty(0, np.int64), np.zeros((0, 0)), hat_free)
-           for _, hat_free in hats]
-    with_hats = [i for i, (hat_verts, _) in enumerate(hats) if hat_verts.size]
+    coarse = ws.coarse
+    hats = [ws.free_hats(K)[1] for K in elements]
+    empty = np.empty(0, np.int64)
+    out = [_Skeleton(K, empty, np.zeros((0, 0)), hat_free, empty, empty,
+                     np.zeros((0, 0)))
+           for K, hat_free in zip(elements, hats)]
+    with_hats = [i for i, hat_free in enumerate(hats) if hat_free.size]
     if not with_hats:
         return out
-    fine = ws.fine
     K = elements[with_hats[0]]
-    tri_ids = descendant_triangles(ws.coarse, fine, patch)
-    counts = np.bincount(fine.triangles[tri_ids].ravel(),
-                         minlength=fine.n_vertices)
-    verts = np.flatnonzero(counts)
-    inside = ((counts[verts] == ws.valence[verts])
-              & (ws.free_index[verts] >= 0))
-    if not inside.any():
+    cd = ws.condensation
+    Bv = cd.V[patch, cd.n_interior:]
+    verts, inv = np.unique(Bv, return_inverse=True)
+    counts = np.bincount(inv.ravel(), np.broadcast_to(cd.B_valence,
+                                                      Bv.shape).ravel())
+    verts = verts[(counts == ws.valence[verts]) & (ws.free_index[verts] >= 0)]
+    if not verts.size:
         raise np.linalg.LinAlgError(
-            f"element {K}: patch has no interior fine nodes")
-    dof_free = ws.free_index[verts[inside]]
-    local = np.empty(fine.n_vertices, dtype=np.int64)
-    local[verts] = np.arange(verts.size)
-    dof_pos = np.full(fine.n_free, -1, dtype=np.int64)
-    dof_pos[dof_free] = np.arange(dof_free.size)
-
-    cverts = np.unique(ws.coarse.triangles[patch])
-    c_free = ws.coarse_free_index[cverts]
+            f"element {K}: patch has no skeleton fine nodes")
+    dof_free = ws.free_index[verts]
+    n_s = dof_free.size
+    dof_pos = np.full(ws.fine.n_free, -1, dtype=np.int64)
+    dof_pos[dof_free] = np.arange(n_s)
+    corner = ws.coarse_free_index[coarse.triangles[patch]]
+    c_free = np.unique(corner)
     c_free = c_free[c_free >= 0]
-    Cp = sp.csr_matrix(_gather(ws.I_free, c_free, dof_pos),
-                       shape=(c_free.size, dof_free.size))
-    # S_free is symmetric, so its patch rows read as columns are Spp
-    Spp = sp.csc_matrix(_gather(ws.S_free, dof_free, dof_pos),
-                        shape=(dof_free.size, dof_free.size))
+    n_c = c_free.size
+    cpos = np.where(corner >= 0, np.searchsorted(c_free, corner), -1)
+    # S_skel is symmetric, so its patch rows read as columns are Sc
+    Sc = sp.csc_matrix(_gather(cd.S_skel, dof_free, dof_pos),
+                       shape=(n_s, n_s))
+    Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos), shape=(n_c, n_s))
+    cc = (cpos >= 0)[:, :, None] & (cpos >= 0)[:, None, :]
+    D = np.bincount((cpos[:, :, None] * n_c + cpos[:, None, :])[cc],
+                    cd.D[patch][cc], minlength=n_c * n_c).reshape(n_c, n_c)
     try:
-        lu = _factor_spd(Spp)
+        lu = _factor_spd(Sc)
+        Yc = _solve_blocks(lu, Ct.T.toarray())
+        sigma = sla.cho_factor(Ct @ Yc + D)
         for i in with_hats:
-            K = elements[i]
-            hat_verts, hat_free = hats[i]
-            rhs_K = ws.element_rhs(K, hat_verts, local, verts.size)[inside]
-            out[i] = (dof_free, _constrained_solve(lu, Cp, rhs_K), hat_free)
+            K, hat_free = elements[i], hats[i]
+            p = np.searchsorted(patch, K)
+            own = corner[p] >= 0
+            bf = ws.free_index[cd.V[K, cd.n_interior:]]
+            on = np.flatnonzero(bf >= 0)
+            rhs = np.zeros((n_s, hat_free.size))
+            rhs[dof_pos[bf[on]]] = cd.rt[K][on][:, own]
+            g = np.zeros((n_c, hat_free.size))
+            g[cpos[p][own]] = cd.g[K][own][:, own]
+            Yr = _solve_blocks(lu, rhs)
+            lam = sla.cho_solve(sigma, Ct @ Yr + g)
+            out[i] = _Skeleton(K, dof_free, Yr - Yc @ lam, hat_free, patch,
+                               c_free, lam)
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
+    return out
+
+
+def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
+    """Q, the sum by hat of the corrector columns of the given skeleton
+    solves (`_skeleton_solve`), over the free fine and coarse nodes.
+
+    The skeleton values enter as solved.  Every element's interior values
+    are then recovered by one solve with its E_II over all the columns
+    that touch it, summed by hat: from the skeleton values on its edges
+    (read off Q), the multipliers of its corners, and its own right-hand
+    side where the element itself was solved.  The solves are taken in
+    element order, so Q does not depend on how they were grouped.
+    """
+    fine, coarse = ws.fine, ws.coarse
+    n_c = coarse.n_free
+    solved = sorted((s for s in solved if s.hats.size), key=lambda s: s.K)
+    if not solved:
+        return sp.csr_matrix((fine.n_free, n_c))
+    Q = sp.coo_matrix(
+        (np.concatenate([s.x.ravel() for s in solved]),
+         (np.concatenate([np.repeat(s.dofs, s.hats.size) for s in solved]),
+          np.concatenate([np.tile(s.hats, s.dofs.size) for s in solved]))),
+        shape=(fine.n_free, n_c)).tocsr()
+    cd = ws.condensation
+    nI = cd.n_interior
+    if nI == 0:
+        return Q
+    # multipliers at each patch element's corners (0 at a Dirichlet
+    # corner), summed per (element, hat) in element order
+    keys, lam = [], []
+    for s in solved:
+        corner = ws.coarse_free_index[coarse.triangles[s.patch]]
+        cpos = np.where(corner >= 0, np.searchsorted(s.c_free, corner), -1)
+        keys.append((s.patch[:, None] * n_c + s.hats).ravel())
+        lam.append(np.vstack([s.lam, np.zeros(s.hats.size)])[cpos]
+                   .transpose(0, 2, 1).reshape(-1, 3))
+    keys, lam = np.concatenate(keys), np.concatenate(lam)
+    keys, inv = np.unique(keys, return_inverse=True)
+    lam = np.stack([np.bincount(inv, lam[:, c], minlength=keys.size)
+                    for c in range(3)], axis=1)
+    element, hat = np.divmod(keys, n_c)
+    bounds = np.flatnonzero(np.diff(element)) + 1
+    own = {s.K for s in solved}
+    col_pos = np.full(n_c, -1, dtype=np.int64)
+    rows, cols, vals = [], [], []
+    for a, b in zip(np.r_[0, bounds], np.r_[bounds, keys.size]):
+        e, z = element[a], hat[a:b]
+        col_pos[z] = np.arange(z.size)
+        brow = ws.free_index[cd.V[e, nI:]]
+        on = np.flatnonzero(brow >= 0)
+        data, pos, indptr = _gather(Q, brow[on], col_pos)
+        col_pos[z] = -1
+        XB = np.zeros((brow.size, z.size))
+        XB[np.repeat(on, np.diff(indptr)), pos] = data
+        rhs = -(cd.E_IB(e) @ XB) - cd.Ic[e].T @ lam[a:b].T
+        if e in own:
+            corner = ws.coarse_free_index[coarse.triangles[e]]
+            free = corner >= 0
+            rhs[:, np.searchsorted(z, corner[free])] += cd.r[e, :nI][:, free]
+        interior = ws.free_index[cd.V[e, :nI]]
+        rows.append(np.repeat(interior, z.size))
+        cols.append(np.tile(z, nI))
+        vals.append(_solve_blocks(cd.factor_interior(e), rhs).ravel())
+    Q_int = sp.coo_matrix((np.concatenate(vals),
+                           (np.concatenate(rows), np.concatenate(cols))),
+                          shape=Q.shape).tocsr()
+    return Q + Q_int
+
+
+def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
+    """Whole corrector columns of the elements that share one patch, each
+    element taken alone: (sorted free positions of the patch dofs, dense
+    columns, free ids of the coarse hats of K) per element, in the given
+    order; empty results for an element with no free coarse hat.  The
+    skeleton solve and the interior recovery are those of a basis build.
+    """
+    interior = ws.condensation.V[patch, :ws.condensation.n_interior]
+    out = []
+    for s in _skeleton_solve(ws, elements, patch):
+        if not s.hats.size:
+            out.append((s.dofs, np.zeros((0, 0)), s.hats))
+            continue
+        dofs = np.sort(np.concatenate([s.dofs,
+                                       ws.free_index[interior].ravel()]))
+        Q = _corrector_matrix(ws, [s])
+        out.append((dofs, Q[dofs][:, s.hats].toarray(), s.hats))
     return out
 
 
@@ -278,7 +559,7 @@ def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
 
     Elements whose k-layer patches coincide (every element, once patches
     saturate at the whole mesh) share one factorization of the patch
-    stiffness; only one is held at a time.  Results are accumulated in
+    skeleton; only one is held at a time.  Results are accumulated in
     element order, so the basis does not depend on the grouping.
     """
     if k < 1:
@@ -291,35 +572,24 @@ def _build_lod_basis(fine, coarse, kappa, k, system):
     ws = _Workspace(fine, coarse, kappa, system=system)
     patches = [patch_elements(coarse, K, k) for K in range(coarse.n_triangles)]
     keys = [patch.tobytes() for patch in patches]
-    results = [None] * coarse.n_triangles
+    solved = []
     n_factorizations = 0
     for _, group in groupby(sorted(range(coarse.n_triangles),
                                    key=keys.__getitem__),
                             key=keys.__getitem__):
         group = list(group)
-        solved = _solve_patch(ws, group, patches[group[0]])
-        n_factorizations += any(hats.size for _, _, hats in solved)
-        for K, res in zip(group, solved):
-            results[K] = res
-
-    rows, cols, vals = [], [], []
-    for dof_free, qcols, hat_free in results:
-        for j, zf in enumerate(hat_free):
-            rows.append(dof_free)
-            cols.append(np.full(dof_free.size, zf))
-            vals.append(qcols[:, j])
-    if rows:
-        Q = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=(fine.n_free, coarse.n_free)).tocsr()
-    else:
-        Q = sp.csr_matrix((fine.n_free, coarse.n_free))
+        skeletons = _skeleton_solve(ws, group, patches[group[0]])
+        n_factorizations += any(s.hats.size for s in skeletons)
+        solved += skeletons
+    Q = _corrector_matrix(ws, solved)
+    P_free = ws.P_free
+    del ws, solved  # the condensation, before the Galerkin restriction
     sizes = [patch.size for patch in patches]
     stats = {"n_elements": coarse.n_triangles,
              "patch_factorizations": n_factorizations,
              "patch_elements_min": int(min(sizes)),
              "patch_elements_max": int(max(sizes))}
-    return LodBasis.restrict(k, (ws.P_free - Q).tocsr(), system, stats)
+    return LodBasis.restrict(k, (P_free - Q).tocsr(), system, stats)
 
 
 def global_corrector_basis(fine: TriMesh, coarse: TriMesh,

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mslqr import assembly as asm
 from mslqr import bench
+from mslqr import mesh as mm
 from mslqr.cli import main
 from mslqr.dre import SolverConfig
 
@@ -151,6 +153,41 @@ def test_lshape_preset_smoke(tmp_path):
     rec = bench.run_experiment(cfg)
     assert rec.levels[0].n_coarse == 5
     assert rec.levels[0].err_L2_lod <= rec.levels[0].err_L2_fem
+
+
+def l_shape_level(j):
+    m = mm.build_base_mesh(mm.l_shape())
+    for _ in range(j):
+        m = mm.refine_uniform(m)
+    return m
+
+
+def test_lshape_control_square_lies_in_domain():
+    # the preset's control square lies in the L, so its input column
+    # integrates the square's area; the square it replaced lay in the
+    # removed quadrant and gave a zero column
+    m = l_shape_level(4)
+    system = bench.build_system(m, asm.kappa_constant(1.0), "l_shape")
+    assert system.B.sum() == pytest.approx(0.04, rel=1e-12)
+    old = asm.assemble_input_squares(m, [(0.65, 0.65, 0.85, 0.85)])
+    assert old.sum() == 0.0
+
+
+def test_build_system_rejects_square_outside_domain(monkeypatch):
+    # a control square that covers no domain area fails, naming the
+    # square, before the mass and stiffness matrices are assembled
+    outside = (0.65, 0.65, 0.85, 0.85)
+    monkeypatch.setattr(bench, "control_squares",
+                        lambda kind: [(0.15, 0.15, 0.35, 0.35), outside])
+    assembled = []
+    monkeypatch.setattr(bench, "assemble_mass",
+                        lambda *a, **k: assembled.append("M"))
+    monkeypatch.setattr(bench, "assemble_stiffness",
+                        lambda *a, **k: assembled.append("S"))
+    with pytest.raises(ValueError, match=r"\(0\.65, 0\.65, 0\.85, 0\.85\)"):
+        bench.build_system(l_shape_level(2), asm.kappa_constant(1.0),
+                           "l_shape")
+    assert assembled == []
 
 
 # -- command line -------------------------------------------------------------

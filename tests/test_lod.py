@@ -201,9 +201,8 @@ def ancestor_rule_rhs(ws, kappa, K, contract=True):
     over all fine vertices i, from the triangles the ancestor rule assigns
     to K.  With ``contract`` each triangle's stiffness block is contracted
     with the hat values at its corners and the products are summed in
-    triangle order, as `_Workspace.element_rhs` does; otherwise the
-    triangles' stiffness is assembled by `_accumulate` and multiplied by
-    the prolongation columns."""
+    triangle order; otherwise the triangles' stiffness is assembled by
+    `_accumulate` and multiplied by the prolongation columns."""
     coarse, fine = ws.coarse, ws.fine
     steps = len(mm.lineage(coarse, fine)) - 1
     anc = np.arange(fine.n_triangles) // 4 ** steps
@@ -245,62 +244,156 @@ def saddle_lu_reference(Spp, Cp, rhs):
 
 
 def test_element_rhs_matches_ancestor_rule(small):
-    # the corrector columns equal, bit for bit, those of the same
-    # constrained solve whose right-hand side is summed over the whole
-    # fine mesh from the ancestor rule, and match the assembled-matrix
-    # right-hand side to roundoff
+    # the element right-hand side E P that the condensation keeps equals
+    # the assembled-matrix right-hand side int_K kappa grad(phi_z).grad(phi_i)
+    # of the triangles the ancestor rule assigns to K, to roundoff
     coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
     ws = lod._Workspace(fine, coarse, kappa)
+    cd = ws.condensation
     for K in (0, 7, coarse.n_triangles - 1):
-        patch = lod.patch_elements(coarse, K, 1)
-        [(dof_free, cols, _)] = lod._solve_patch(ws, [K], patch)
-        dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
-        assert np.array_equal(dof_free, dofs)
-        lu = lod._factor_spd(Spp)
-        assert np.array_equal(cols, lod._constrained_solve(lu, Cp, rhs))
-        *_, rhs_acc = ancestor_rule_problem(ws, kappa, K, patch,
-                                            contract=False)
-        expected = lod._constrained_solve(lu, Cp, rhs_acc)
-        assert (np.abs(cols - expected).max()
+        expected = ancestor_rule_rhs(ws, kappa, K, contract=False)
+        free = ws.coarse_free_index[coarse.triangles[K]] >= 0
+        got = np.zeros_like(expected)
+        got[cd.V[K]] = cd.r[K][:, free]
+        assert (np.abs(got - expected).max()
                 <= 1e-13 * np.abs(expected).max())
+
+
+def skeleton_split(ws, patch, skeleton_dofs):
+    """Positions of the skeleton dofs and of the interior dofs within the
+    sorted free positions of the patch dofs (incidence reference)."""
+    dofs = ws.free_index[reference_patch_dofs(ws.coarse, ws.fine, patch)]
+    on_skeleton = np.isin(dofs, skeleton_dofs)
+    pos = np.searchsorted(dofs, skeleton_dofs)
+    assert np.array_equal(dofs[pos], skeleton_dofs)
+    return pos, np.flatnonzero(~on_skeleton)
 
 
 @pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
 def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
-    # the Spp and Cp that a patch solve factors and constrains with equal
-    # SciPy's two-step slices; Cp keeps I_free's (unsorted) entry order,
-    # which fixes the summation order of Cp @ X
+    # the skeleton matrix Sc that a patch solve factors is the Schur
+    # complement, onto the skeleton, of SciPy's two-step slice Spp
     chain = mesh_chain(3, domain)
     coarse, fine = chain[1], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
     ws = lod._Workspace(fine, coarse, kappa)
-    assert not ws.I_free.has_sorted_indices
+    ws.condensation  # the interior factorizations, before the capture
     seen = []
-    factor_spd, constrained_solve = lod._factor_spd, lod._constrained_solve
+    factor_spd = lod._factor_spd
 
-    def capture_factor(Spp):
-        seen.append(Spp)
-        return factor_spd(Spp)
-
-    def capture_solve(lu, Cp, rhs):
-        seen.append(Cp)
-        return constrained_solve(lu, Cp, rhs)
+    def capture_factor(Sc):
+        seen.append(Sc)
+        return factor_spd(Sc)
 
     monkeypatch.setattr(lod, "_factor_spd", capture_factor)
-    monkeypatch.setattr(lod, "_constrained_solve", capture_solve)
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
             seen.clear()
-            lod._solve_patch(ws, [K], patch)
-            Spp, Cp = seen
-            _, Spp_ref, Cp_ref, _ = ancestor_rule_problem(ws, kappa, K, patch)
-            for A, ref in ((Spp, Spp_ref), (Cp, Cp_ref)):
-                assert A.shape == ref.shape and A.nnz == ref.nnz
-                assert np.array_equal(A.toarray(), ref.toarray())
-            assert Spp.format == "csc" and Cp.format == "csr"
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(Cp, name), getattr(Cp_ref, name))
+            [s] = lod._skeleton_solve(ws, [K], patch)
+            [Sc] = seen
+            _, Spp, _, _ = ancestor_rule_problem(ws, kappa, K, patch)
+            S, I = skeleton_split(ws, patch, s.dofs)
+            A = Spp.toarray()
+            ref = A[np.ix_(S, S)] - A[np.ix_(S, I)] @ np.linalg.solve(
+                A[np.ix_(I, I)], A[np.ix_(I, S)])
+            assert Sc.format == "csc" and Sc.shape == ref.shape
+            assert (np.abs(Sc.toarray() - ref).max()
+                    <= 1e-12 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_skeleton_and_interiors_partition_patch_dofs(domain):
+    # every patch dof lies either on the skeleton or strictly inside one
+    # patch element, never both
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    ws = lod._Workspace(fine, coarse, asm.kappa_constant(1.0))
+    cd = ws.condensation
+    assert cd.n_interior == 3
+    for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
+        for k in (1, 2, 3):
+            patch = lod.patch_elements(coarse, K, k)
+            [s] = lod._skeleton_solve(ws, [K], patch)
+            interior = ws.free_index[cd.V[patch, :cd.n_interior]].ravel()
+            both = np.concatenate([s.dofs, interior])
+            assert np.unique(both).size == both.size
+            assert np.array_equal(
+                np.sort(both),
+                ws.free_index[reference_patch_dofs(coarse, fine, patch)])
+
+
+def test_one_refinement_condenses_nothing(monkeypatch):
+    # with one refinement between the meshes no fine vertex lies strictly
+    # inside a coarse element: only the patch skeletons are factored, and
+    # the columns still match the whole saddle system's LU
+    chain = mesh_chain(3)
+    coarse, fine = chain[2], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    assert ws.condensation.n_interior == 0
+    for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
+        for k in (1, 2):
+            patch = lod.patch_elements(coarse, K, k)
+            [(dofs, cols, _)] = lod._solve_patch(ws, [K], patch)
+            ref_dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K,
+                                                           patch)
+            assert np.array_equal(dofs, ref_dofs)
+            expected = saddle_lu_reference(Spp, Cp, rhs)
+            assert (np.abs(cols - expected).max()
+                    <= 1e-12 * np.abs(expected).max())
+    calls = []
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(lod, "splu", counting_splu)
+    basis = lod.build_lod_basis(fine, coarse, kappa, 1,
+                                make_system(fine, kappa))
+    assert len(calls) == basis.stats["patch_factorizations"] > 0
+
+
+def test_neumann_vertices_are_skeleton_dofs():
+    # on the U-shape the Neumann boundary runs along coarse edges: its
+    # vertices are skeleton dofs, and the columns there match the whole
+    # saddle system's LU
+    chain = mesh_chain(3, mm.u_shape)
+    coarse, fine = chain[1], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    cd = ws.condensation
+    neumann = np.flatnonzero(fine.node_flags == mm.NEUMANN)
+    assert neumann.size and not np.isin(neumann, cd.V[:, :cd.n_interior]).any()
+    checked = 0
+    for K in range(coarse.n_triangles):
+        patch = lod.patch_elements(coarse, K, 1)
+        [s] = lod._skeleton_solve(ws, [K], patch)
+        if not s.hats.size or not np.isin(fine.free_nodes[s.dofs],
+                                          neumann).any():
+            continue
+        [(_, cols, _)] = lod._solve_patch(ws, [K], patch)
+        _, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
+        expected = saddle_lu_reference(Spp, Cp, rhs)
+        assert (np.abs(cols - expected).max()
+                <= 1e-12 * np.abs(expected).max())
+        checked += 1
+    assert checked > 0
+
+
+def test_condensation_rejects_mixed_topology(small):
+    # the elements' shared local numbering is checked: a fine mesh whose
+    # children of one element are listed in another order is refused
+    coarse, fine = small["coarse"], small["fine"]
+    n_sub = fine.n_triangles // coarse.n_triangles
+    triangles = fine.triangles.copy()
+    triangles[n_sub:2 * n_sub] = triangles[n_sub:2 * n_sub][::-1]
+    shuffled = mm.TriMesh(fine.domain, fine.vertices, triangles,
+                          fine.node_flags, level=fine.level,
+                          parent=fine.parent, edge_parents=fine.edge_parents)
+    ws = lod._Workspace(shuffled, coarse, small["kappa"])
+    with pytest.raises(ValueError, match="topology"):
+        ws.condensation
 
 
 def test_gather_keeps_unsorted_rows():
@@ -488,27 +581,22 @@ def test_decay_profile_monotone(small):
 
 
 def per_element_basis(fine, coarse, kappa, k, system):
-    """Rh built one element at a time, each with its own factorization of
-    the patch stiffness."""
+    """Rh built one element at a time: each element's skeleton solve
+    factors its own patch skeleton; the interiors are recovered as in a
+    build."""
     ws = lod._Workspace(fine, coarse, kappa, system=system)
-    rows, cols, vals = [], [], []
-    for K in range(coarse.n_triangles):
-        patch = lod.patch_elements(coarse, K, k)
-        [(dofs, qcols, hats)] = lod._solve_patch(ws, [K], patch)
-        for j, zf in enumerate(hats):
-            rows.append(dofs)
-            cols.append(np.full(dofs.size, zf))
-            vals.append(qcols[:, j])
-    Q = sp.coo_matrix((np.concatenate(vals),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(fine.n_free, coarse.n_free)).tocsr()
-    return (ws.P_free - Q).tocsr()
+    solved = [s for K in range(coarse.n_triangles)
+              for s in lod._skeleton_solve(ws, [K],
+                                           lod.patch_elements(coarse, K, k))]
+    return (ws.P_free - lod._corrector_matrix(ws, solved)).tocsr()
 
 
 @pytest.mark.parametrize("level, n_patches", [(0, 2), (1, 22)])
 def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     # elements with the same patch share one factorization of its
-    # stiffness; the basis equals the per-element build bit for bit
+    # skeleton; each element interior is factored twice, for its
+    # condensation and for its recovery; the basis equals the per-element
+    # build bit for bit
     chain = mesh_chain(3)
     coarse, fine = chain[level], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
@@ -528,7 +616,7 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     with monkeypatch.context() as m:
         m.setattr(lod, "splu", counting_splu)
         basis = lod.build_lod_basis(fine, coarse, kappa, k, system)
-    assert len(calls) == n_patches
+    assert len(calls) == n_patches + 2 * coarse.n_triangles
     assert basis.stats["patch_factorizations"] == n_patches
     assert basis.stats["n_elements"] == coarse.n_triangles
 
