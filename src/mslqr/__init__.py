@@ -18,7 +18,7 @@ from .dre import (DreSolution, SolverConfig, apply_exp_F, simulate_closed_loop,
                   solve_dre, strang_step)
 from .lod import (LodBasis, build_lod_basis, clement_interpolation,
                   corrector_decay_profile, default_patch_radius,
-                  load_lod_basis, patch_elements, save_lod_basis)
+                  patch_elements)
 from .lowrank import (LowRankFactor, apply_exp_G, compress, dump_factor,
                       load_factor, zero_factor)
 from .mesh import (Domain, TriMesh, build_base_mesh, dump_mesh, l_shape,

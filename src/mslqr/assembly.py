@@ -37,6 +37,7 @@ class CoefficientField:
             self.values.setflags(write=False)
             self.alpha = float(self.values.min())
             self.beta = float(self.values.max())
+            given, size, size_name = self.values, self.epsilon, "epsilon"
         elif kind == "stripes":
             self.background = float(background)
             self.stripe_value = float(stripe_value)
@@ -45,10 +46,17 @@ class CoefficientField:
             vals = [self.background] + ([self.stripe_value] if len(self.centers) else [])
             self.alpha = min(vals)
             self.beta = max(vals)
+            given = np.array([self.background, self.stripe_value])
+            size, size_name = self.width, "stripe width"
         else:
             raise ValueError(f"unknown coefficient kind {kind!r}")
-        if self.alpha <= 0:
-            raise ValueError("coefficient values must be positive")
+        bad = given[~(np.isfinite(given) & (given > 0))]
+        if bad.size:
+            raise ValueError("coefficient values must be finite and "
+                             f"positive, got {float(bad[0])!r}")
+        if not (size > 0 and np.isfinite(size)):
+            raise ValueError(f"{size_name} must be finite and positive, "
+                             f"got {size!r}")
 
     def values_at(self, points: np.ndarray) -> np.ndarray:
         """Coefficient values at an (m, 2) array of points."""
@@ -84,6 +92,12 @@ def kappa_random_grid(epsilon: float, lo: float, hi: float, seed: int,
     Cells are drawn row-major (y outer, x inner) so a given seed yields the
     same field on every platform.
     """
+    if not (epsilon > 0 and np.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be finite and positive, got "
+                         f"{epsilon!r}")
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError(f"coefficient bounds must be finite, got lo={lo!r}, "
+                         f"hi={hi!r}")
     if lo <= 0:
         raise ValueError("lower coefficient bound must be positive")
     if hi < lo:

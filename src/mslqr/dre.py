@@ -42,8 +42,8 @@ class SolverConfig:
     compress_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"T must be positive, got {self.T!r}")
+        if not (self.T > 0 and np.isfinite(self.T)):
+            raise ValueError(f"T must be positive and finite, got {self.T!r}")
         if self.n_t < 1 or self.substeps < 1:
             raise ValueError("n_t and substeps must be at least 1")
         if not 0 <= self.compress_tol < 1:

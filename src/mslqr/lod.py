@@ -11,13 +11,11 @@ once per build, so a constrained problem is solved on its patch skeleton
 of its quasi-interpolation rows, and the element interiors are recovered
 once per element at the end.  The sparse factorizations are one per
 element interior and one per distinct patch skeleton.  Element problems
-are independent and deterministic, so the basis is reproducible and
-reusable across solver runs.
+are independent and deterministic, so the basis is reproducible.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import NamedTuple
@@ -91,15 +89,13 @@ def default_patch_radius(coarse: TriMesh) -> int:
 class _Workspace:
     """Shared data for all corrector solves of one mesh pair."""
 
-    def __init__(self, fine, coarse, kappa, system=None):
+    def __init__(self, fine, coarse, kappa):
         self.fine = fine
         self.coarse = coarse
         self.kappa = kappa
         self.P_full = prolongation(coarse, fine, all_nodes=True)
         self.P_free = self.P_full[fine.free_nodes][:, coarse.free_nodes].tocsr()
         self.I_free = clement_interpolation(fine, coarse, P_full=self.P_full)
-        self.S_free = (system.S if system is not None
-                       else assemble_stiffness(fine, kappa)).tocsr()
         self.valence = np.bincount(fine.triangles.ravel())  # per vertex
         self.free_index = np.full(fine.n_vertices, -1, dtype=np.int64)
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
@@ -363,8 +359,8 @@ class _Skeleton(NamedTuple):
 
 def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     """Skeleton parts of the corrector columns of the elements that share
-    one patch, one `_Skeleton` per element in the given order (empty for
-    an element with no free coarse hat).
+    one patch, one `_Skeleton` per element with a free coarse hat, in the
+    given order.
 
     The patch dofs are its free fine vertices whose fine triangles all lie
     in the patch; its skeleton is those on coarse edges.  The element
@@ -377,15 +373,11 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     or a rank-deficient C raises LinAlgError naming the element.
     """
     coarse = ws.coarse
-    hats = [ws.free_hats(K)[1] for K in elements]
-    empty = np.empty(0, np.int64)
-    out = [_Skeleton(K, empty, np.zeros((0, 0)), hat_free, empty, empty,
-                     np.zeros((0, 0)))
-           for K, hat_free in zip(elements, hats)]
-    with_hats = [i for i, hat_free in enumerate(hats) if hat_free.size]
-    if not with_hats:
-        return out
-    K = elements[with_hats[0]]
+    hats = [(K, ws.free_hats(K)[1]) for K in elements]
+    hats = [(K, hat_free) for K, hat_free in hats if hat_free.size]
+    if not hats:
+        return []
+    K = hats[0][0]
     cd = ws.condensation
     Bv = cd.V[patch, cd.n_interior:]
     verts, inv = np.unique(Bv, return_inverse=True)
@@ -411,12 +403,12 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     cc = (cpos >= 0)[:, :, None] & (cpos >= 0)[:, None, :]
     D = np.bincount((cpos[:, :, None] * n_c + cpos[:, None, :])[cc],
                     cd.D[patch][cc], minlength=n_c * n_c).reshape(n_c, n_c)
+    out = []
     try:
         lu = _factor_spd(Sc)
         Yc = _solve_blocks(lu, Ct.T.toarray())
         sigma = sla.cho_factor(Ct @ Yc + D)
-        for i in with_hats:
-            K, hat_free = elements[i], hats[i]
+        for K, hat_free in hats:
             p = np.searchsorted(patch, K)
             own = corner[p] >= 0
             bf = ws.free_index[cd.V[K, cd.n_interior:]]
@@ -427,8 +419,8 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             g[cpos[p][own]] = cd.g[K][own][:, own]
             Yr = _solve_blocks(lu, rhs)
             lam = sla.cho_solve(sigma, Ct @ Yr + g)
-            out[i] = _Skeleton(K, dof_free, Yr - Yc @ lam, hat_free, patch,
-                               c_free, lam)
+            out.append(_Skeleton(K, dof_free, Yr - Yc @ lam, hat_free,
+                                 patch, c_free, lam))
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
@@ -448,7 +440,7 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     """
     fine, coarse = ws.fine, ws.coarse
     n_c = coarse.n_free
-    solved = sorted((s for s in solved if s.hats.size), key=lambda s: s.K)
+    solved = sorted(solved, key=lambda s: s.K)
     if not solved:
         return sp.csr_matrix((fine.n_free, n_c))
     Q = sp.coo_matrix(
@@ -502,26 +494,6 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     return Q + Q_int
 
 
-def _solve_patch(ws: _Workspace, elements, patch: np.ndarray) -> list:
-    """Whole corrector columns of the elements that share one patch, each
-    element taken alone: (sorted free positions of the patch dofs, dense
-    columns, free ids of the coarse hats of K) per element, in the given
-    order; empty results for an element with no free coarse hat.  The
-    skeleton solve and the interior recovery are those of a basis build.
-    """
-    interior = ws.condensation.V[patch, :ws.condensation.n_interior]
-    out = []
-    for s in _skeleton_solve(ws, elements, patch):
-        if not s.hats.size:
-            out.append((s.dofs, np.zeros((0, 0)), s.hats))
-            continue
-        dofs = np.sort(np.concatenate([s.dofs,
-                                       ws.free_index[interior].ravel()]))
-        Q = _corrector_matrix(ws, [s])
-        out.append((dofs, Q[dofs][:, s.hats].toarray(), s.hats))
-    return out
-
-
 @dataclass
 class LodBasis:
     """Corrected coarse basis and the corrected system.
@@ -542,10 +514,7 @@ class LodBasis:
         return cls(k, Rh, restrict_system(system, Rh), stats)
 
     n_coarse = property(lambda self: self.Rh.shape[1])
-    M_ms = property(lambda self: self.ms.M)
     S_ms = property(lambda self: self.ms.S)
-    B_ms = property(lambda self: self.ms.B)
-    C_ms = property(lambda self: self.ms.C)
 
     def system(self) -> LqrSystem:
         """Corrected-space LQR system ready for the Riccati solver."""
@@ -569,7 +538,7 @@ def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
 
 
 def _build_lod_basis(fine, coarse, kappa, k, system):
-    ws = _Workspace(fine, coarse, kappa, system=system)
+    ws = _Workspace(fine, coarse, kappa)
     patches = [patch_elements(coarse, K, k) for K in range(coarse.n_triangles)]
     keys = [patch.tobytes() for patch in patches]
     solved = []
@@ -579,7 +548,7 @@ def _build_lod_basis(fine, coarse, kappa, k, system):
                             key=keys.__getitem__):
         group = list(group)
         skeletons = _skeleton_solve(ws, group, patches[group[0]])
-        n_factorizations += any(s.hats.size for s in skeletons)
+        n_factorizations += bool(skeletons)
         solved += skeletons
     Q = _corrector_matrix(ws, solved)
     P_free = ws.P_free
@@ -598,9 +567,10 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     """Unlocalized construction: one constrained solve over the whole fine
     space with every coarse constraint row.  Reference for testing the
     localized assembly at saturation."""
-    ws = _Workspace(fine, coarse, kappa, system=system)
-    Q = _constrained_solve(_factor_spd(ws.S_free), ws.I_free,
-                           (ws.S_free @ ws.P_free).toarray())
+    ws = _Workspace(fine, coarse, kappa)
+    S = system.S.tocsr()
+    Q = _constrained_solve(_factor_spd(S), ws.I_free,
+                           (S @ ws.P_free).toarray())
     return LodBasis.restrict(-1, sp.csr_matrix(ws.P_free - Q), system,
                              {"global": True})
 
@@ -617,66 +587,20 @@ def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,
     """
     if k_max < 2:
         raise ValueError("profile needs k_max >= 2")
-    ws = _Workspace(fine, coarse, kappa)
     full_patch = patch_elements(coarse, K, coarse.n_triangles)
-    [(dofs_hat, cols_hat, hats)] = _solve_patch(ws, [K], full_patch)
+    ws = _Workspace(fine, coarse, kappa)
+    hats = ws.free_hats(K)[1]
     if hats.size == 0:
         raise ValueError(f"element {K} carries no free coarse hat")
-    qhat = np.zeros((fine.n_free, hats.size))
-    qhat[dofs_hat] = cols_hat
+    S = assemble_stiffness(fine, kappa).tocsr()
+
+    def corrector(patch):
+        Q = _corrector_matrix(ws, _skeleton_solve(ws, [K], patch))
+        return Q[:, hats].toarray()
+
+    qhat = corrector(full_patch)
     energies = []
     for k in range(1, k_max + 1):
-        patch = patch_elements(coarse, K, k)
-        [(dofs, cols, _)] = _solve_patch(ws, [K], patch)
-        qk = np.zeros_like(qhat)
-        qk[dofs] = cols
-        diff = qhat - qk
-        energies.append(float(np.sqrt((diff * (ws.S_free @ diff)).sum())))
+        diff = qhat - corrector(patch_elements(coarse, K, k))
+        energies.append(float(np.sqrt((diff * (S @ diff)).sum())))
     return energies
-
-
-def _fingerprint(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-def basis_fingerprints(fine: TriMesh, coarse: TriMesh,
-                       kappa: CoefficientField) -> dict:
-    if kappa.kind == "grid":
-        kp = _fingerprint(kappa.values, np.array([kappa.epsilon]))
-    else:
-        kp = _fingerprint(kappa.centers,
-                          np.array([kappa.width, kappa.background,
-                                    kappa.stripe_value]))
-    return {"fine": _fingerprint(fine.vertices, fine.triangles),
-            "coarse": _fingerprint(coarse.vertices, coarse.triangles),
-            "kappa": kp}
-
-
-def save_lod_basis(basis: LodBasis, path, fine=None, coarse=None,
-                   kappa=None) -> None:
-    """Persist Rh, k and input checksums so the pre-solve can be reused."""
-    prints = (basis_fingerprints(fine, coarse, kappa)
-              if fine is not None else {})
-    Rh = basis.Rh.tocsr()
-    np.savez_compressed(path, k=basis.k, data=Rh.data, indices=Rh.indices,
-                        indptr=Rh.indptr, shape=Rh.shape,
-                        fingerprints=repr(prints))
-
-
-def load_lod_basis(path, system: LqrSystem, fine=None, coarse=None,
-                   kappa=None) -> LodBasis:
-    """Load a saved basis and rebuild the corrected matrices against the
-    given fine system; optionally verifies the stored input checksums."""
-    with np.load(path, allow_pickle=False) as z:
-        Rh = sp.csr_matrix((z["data"], z["indices"], z["indptr"]),
-                           shape=tuple(z["shape"]))
-        k = int(z["k"])
-        stored = str(z["fingerprints"])
-    if fine is not None:
-        expected = repr(basis_fingerprints(fine, coarse, kappa))
-        if stored != expected:
-            raise ValueError("saved basis does not match the given inputs")
-    return LodBasis.restrict(k, Rh, system, {"loaded": True})

@@ -89,8 +89,9 @@ def compress(F: LowRankFactor, tol: float) -> LowRankFactor:
     A NaN or Inf in the factor raises FloatingPointError.  F is not
     modified.
     """
-    if tol < 0:
-        raise ValueError("compression tolerance must be nonnegative")
+    if not tol >= 0:
+        raise ValueError("compression tolerance must be nonnegative, "
+                         f"got {tol!r}")
     if F.rank == 0:
         return F.copy()
     R, q_times = _thin_qr(F.L)

@@ -50,6 +50,30 @@ def test_random_grid_validation():
         asm.kappa_random_grid(0.3, 0.1, 1.0, seed=1)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: asm.kappa_random_grid(2 ** -3, np.nan, 1.0, seed=1),
+    lambda: asm.kappa_random_grid(2 ** -3, 0.1, np.nan, seed=1),
+    lambda: asm.kappa_random_grid(2 ** -3, 0.1, np.inf, seed=1),
+    lambda: asm.kappa_random_grid(np.nan, 0.1, 1.0, seed=1),
+    lambda: asm.kappa_random_grid(np.inf, 0.1, 1.0, seed=1),
+    lambda: asm.kappa_random_grid(0.0, 0.1, 1.0, seed=1),
+    lambda: asm.CoefficientField("grid", epsilon=0.5,
+                                 values=[[1.0, np.nan], [1.0, 1.0]]),
+    lambda: asm.kappa_stripes(7, 2 ** -5, 1.0, np.nan),
+    lambda: asm.kappa_stripes(7, 2 ** -5, np.inf, 1e-2),
+    lambda: asm.kappa_stripes(7, 2 ** -5, 1.0, -1e-2),
+    lambda: asm.kappa_constant(np.inf),
+    lambda: asm.kappa_constant(np.nan),
+    lambda: asm.kappa_constant(0.0),
+    lambda: asm.CoefficientField("grid", epsilon=np.nan, values=[[1.0]]),
+    lambda: asm.kappa_stripes(7, np.nan, 1.0, 1e-2),
+])
+def test_non_finite_or_non_positive_coefficients_raise(make):
+    with pytest.raises(ValueError, match="finite") as info:
+        make()
+    assert len(str(info.value).splitlines()) == 1
+
+
 def test_grid_lookup_half_open_cells():
     vals = np.array([[1.0, 2.0], [3.0, 4.0]])
     k = asm.CoefficientField("grid", epsilon=0.5, values=vals)

@@ -253,6 +253,9 @@ def test_cli_error_exit_code(tmp_path, capsys):
     ("solver", "compress_tol = 1", "compress_tol"),
     ("kappa", "type = stripe", "stripe"),
     ("experiment", "workers = 2", "workers"),   # removed knob
+    ("kappa", "lo = nan", "lo=nan"),
+    ("kappa", "type = stripes\nvalue = nan", "nan"),
+    ("kappa", "type = constant\nconstant = inf", "inf"),
 ])
 def test_cli_rejects_bad_config(tmp_path, capsys, monkeypatch, section, line,
                                 named):

@@ -428,6 +428,9 @@ def test_non_finite_values_raise(monkeypatch):
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(T=0.0)
+    for T in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="T must be"):
+            SolverConfig(T=T)
     with pytest.raises(ValueError):
         SolverConfig(n_t=0)
     with pytest.raises(ValueError):

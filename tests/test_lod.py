@@ -190,10 +190,22 @@ def test_patch_dofs_match_incidence_reference(domain):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
-            [(dof_free, _, hat_free)] = lod._solve_patch(ws, [K], patch)
+            dof_free, _, hat_free = patch_columns(ws, K, patch)
             assert hat_free.size > 0
             expected = reference_patch_dofs(coarse, fine, patch)
             assert np.array_equal(dof_free, ws.free_index[expected])
+
+
+def patch_columns(ws, K, patch):
+    """(sorted free positions of the patch dofs, dense corrector columns,
+    free ids of the coarse hats of K) of element K alone on a patch, from
+    the skeleton solve and the interior recovery of a basis build."""
+    [s] = lod._skeleton_solve(ws, [K], patch)
+    cd = ws.condensation
+    dofs = np.sort(np.concatenate(
+        [s.dofs, ws.free_index[cd.V[patch, :cd.n_interior]].ravel()]))
+    Q = lod._corrector_matrix(ws, [s])
+    return dofs, Q[dofs][:, s.hats].toarray(), s.hats
 
 
 def ancestor_rule_rhs(ws, kappa, K, contract=True):
@@ -230,7 +242,8 @@ def ancestor_rule_problem(ws, kappa, K, patch, contract=True):
     c_free = ws.coarse_free_index[np.unique(coarse.triangles[patch])]
     c_free = c_free[c_free >= 0]
     dof_free = ws.free_index[dofs]
-    return (dof_free, ws.S_free[dof_free][:, dof_free],
+    S = asm.assemble_stiffness(fine, kappa).tocsr()
+    return (dof_free, S[dof_free][:, dof_free],
             ws.I_free[c_free][:, dof_free],
             ancestor_rule_rhs(ws, kappa, K, contract)[dofs])
 
@@ -335,7 +348,7 @@ def test_one_refinement_condenses_nothing(monkeypatch):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2):
             patch = lod.patch_elements(coarse, K, k)
-            [(dofs, cols, _)] = lod._solve_patch(ws, [K], patch)
+            dofs, cols, _ = patch_columns(ws, K, patch)
             ref_dofs, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K,
                                                            patch)
             assert np.array_equal(dofs, ref_dofs)
@@ -368,11 +381,11 @@ def test_neumann_vertices_are_skeleton_dofs():
     checked = 0
     for K in range(coarse.n_triangles):
         patch = lod.patch_elements(coarse, K, 1)
-        [s] = lod._skeleton_solve(ws, [K], patch)
-        if not s.hats.size or not np.isin(fine.free_nodes[s.dofs],
-                                          neumann).any():
+        skeletons = lod._skeleton_solve(ws, [K], patch)
+        if not skeletons or not np.isin(fine.free_nodes[skeletons[0].dofs],
+                                        neumann).any():
             continue
-        [(_, cols, _)] = lod._solve_patch(ws, [K], patch)
+        _, cols, _ = patch_columns(ws, K, patch)
         _, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
         expected = saddle_lu_reference(Spp, Cp, rhs)
         assert (np.abs(cols - expected).max()
@@ -426,7 +439,7 @@ def test_schur_solve_matches_saddle_lu(domain):
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
-            [(_, cols, _)] = lod._solve_patch(ws, [K], patch)
+            _, cols, _ = patch_columns(ws, K, patch)
             _, Spp, Cp, rhs = ancestor_rule_problem(ws, kappa, K, patch)
             expected = saddle_lu_reference(Spp, Cp, rhs)
             assert cols.shape == expected.shape
@@ -444,7 +457,7 @@ def test_rank_deficient_constraints_name_the_element(small):
     keep[hat_free[0]] = 0.0
     ws.I_free = (sp.diags(keep) @ ws.I_free).tocsr()
     with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
-        lod._solve_patch(ws, [K], lod.patch_elements(coarse, K, 1))
+        lod._skeleton_solve(ws, [K], lod.patch_elements(coarse, K, 1))
 
 
 # -- correctors ----------------------------------------------------------
@@ -454,7 +467,7 @@ def test_corrector_columns_local_and_in_kernel(small):
     I_free = lod.clement_interpolation(fine, coarse)
     ws = lod._Workspace(fine, coarse, small["kappa"])
     patch = lod.patch_elements(coarse, 3, 1)
-    [(dof_free, cols, hat_free)] = lod._solve_patch(ws, [3], patch)
+    dof_free, cols, hat_free = patch_columns(ws, 3, patch)
     assert hat_free.size > 0
     assert cols.shape == (dof_free.size, hat_free.size)
     # support stays inside the patch
@@ -467,10 +480,10 @@ def test_corrector_columns_local_and_in_kernel(small):
 def test_corrector_energy_bound(small):
     coarse, fine = small["coarse"], small["fine"]
     kappa, system = small["kappa"], small["system"]
-    ws = lod._Workspace(fine, coarse, kappa, system=system)
+    ws = lod._Workspace(fine, coarse, kappa)
     K = 7
     patch = lod.patch_elements(coarse, K, 2)
-    [(dof_free, cols, hats)] = lod._solve_patch(ws, [K], patch)
+    dof_free, cols, _ = patch_columns(ws, K, patch)
     hat_verts = coarse.triangles[K][ws.coarse_free_index[coarse.triangles[K]] >= 0]
     T = fine.triangles[mm.descendant_triangles(coarse, fine, K)]
     SK = asm._accumulate(T, fine.n_vertices,
@@ -481,7 +494,7 @@ def test_corrector_energy_bound(small):
         local_energy = phi @ (SK @ phi)
         q = np.zeros(fine.n_free)
         q[dof_free] = cols[:, j]
-        assert q @ (ws.S_free @ q) <= local_energy * (1 + 1e-12)
+        assert q @ (system.S @ q) <= local_energy * (1 + 1e-12)
 
 
 def test_corrector_zero_rhs_gives_zero(small):
@@ -507,12 +520,12 @@ def test_lod_basis_shapes_and_spd(small):
     nH = coarse.n_free
     assert basis.Rh.shape == (fine.n_free, nH)
     assert basis.n_coarse == nH
-    for A in (basis.M_ms, basis.S_ms):
+    for A in (basis.ms.M, basis.ms.S):
         assert A.shape == (nH, nH)
         assert abs(A - A.T).max() <= 1e-13 * abs(A).max()
         assert np.linalg.eigvalsh(A.toarray()).min() > 0
-    assert basis.B_ms.shape == (nH, 3)
-    assert basis.C_ms.shape == (1, nH)
+    assert basis.ms.B.shape == (nH, 3)
+    assert basis.ms.C.shape == (1, nH)
 
 
 def test_kernel_property(small):
@@ -580,11 +593,26 @@ def test_decay_profile_monotone(small):
     assert e[-1] <= 1e-10 * (e[0] + 1e-30)
 
 
+def test_decay_profile_rejects_element_without_free_hat(small):
+    # an element whose corners all lie on the Dirichlet boundary has no
+    # corrector: its skeleton solve returns nothing and its profile is
+    # refused
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    ws = lod._Workspace(fine, coarse, kappa)
+    bare = [K for K in range(coarse.n_triangles)
+            if ws.free_hats(K)[1].size == 0]
+    assert bare
+    K = bare[0]
+    assert lod._skeleton_solve(ws, [K], lod.patch_elements(coarse, K, 1)) == []
+    with pytest.raises(ValueError, match=f"element {K} carries no free"):
+        lod.corrector_decay_profile(fine, coarse, kappa, K, k_max=2)
+
+
 def per_element_basis(fine, coarse, kappa, k, system):
     """Rh built one element at a time: each element's skeleton solve
     factors its own patch skeleton; the interiors are recovered as in a
     build."""
-    ws = lod._Workspace(fine, coarse, kappa, system=system)
+    ws = lod._Workspace(fine, coarse, kappa)
     solved = [s for K in range(coarse.n_triangles)
               for s in lod._skeleton_solve(ws, [K],
                                            lod.patch_elements(coarse, K, k))]
@@ -644,35 +672,13 @@ def test_default_patch_radius():
     assert lod.default_patch_radius(chain[3]) == 4
 
 
-def test_weights_carry_over_to_every_basis(tmp_path, small):
+def test_weights_carry_over_to_every_basis(small):
     coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
     s = small["system"]
     R = 3.0 * np.eye(s.m)
     system = asm.LqrSystem(M=s.M, S=s.S, B=s.B, C=s.C, Q=2.0, R=R)
-    local = lod.build_lod_basis(fine, coarse, kappa, 1, system)
-    path = tmp_path / "basis.npz"
-    lod.save_lod_basis(local, path)
-    for basis in (local,
-                  lod.global_corrector_basis(fine, coarse, kappa, system),
-                  lod.load_lod_basis(path, system)):
+    for basis in (lod.build_lod_basis(fine, coarse, kappa, 1, system),
+                  lod.global_corrector_basis(fine, coarse, kappa, system)):
         assert np.array_equal(basis.system().Q, [[2.0]])
         assert np.array_equal(basis.system().R, R)
 
-
-def test_basis_save_load_roundtrip(tmp_path, small):
-    coarse, fine = small["coarse"], small["fine"]
-    basis = lod.build_lod_basis(fine, coarse, small["kappa"], k=2,
-                                system=small["system"])
-    path = tmp_path / "basis.npz"
-    lod.save_lod_basis(basis, path, fine=fine, coarse=coarse,
-                       kappa=small["kappa"])
-    loaded = lod.load_lod_basis(path, small["system"], fine=fine,
-                                coarse=coarse, kappa=small["kappa"])
-    assert loaded.k == basis.k
-    assert abs(loaded.Rh - basis.Rh).max() == 0.0
-    assert np.allclose(loaded.S_ms.toarray(), basis.S_ms.toarray())
-    # checksum mismatch is detected
-    other = asm.kappa_constant(2.0)
-    with pytest.raises(ValueError):
-        lod.load_lod_basis(path, small["system"], fine=fine, coarse=coarse,
-                           kappa=other)

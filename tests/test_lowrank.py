@@ -85,6 +85,13 @@ def test_compress_rejects_non_finite_factors(where, bad):
         lr.compress(F, 1e-10)
 
 
+@pytest.mark.parametrize("tol", [-1e-3, np.nan])
+def test_compress_rejects_bad_tolerance(tol):
+    # a NaN tolerance would keep no eigenvalue and return the zero factor
+    with pytest.raises(ValueError, match="nonnegative"):
+        lr.compress(random_psd_factor(20, 4, seed=3), tol)
+
+
 def test_compress_duplicate_columns_drop_rank():
     rng = np.random.default_rng(2)
     col = rng.standard_normal((20, 1))
