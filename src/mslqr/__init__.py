@@ -10,8 +10,7 @@ norm error evaluation between discretization levels.
 from .assembly import (CoefficientField, LqrSystem, assemble_input_squares,
                        assemble_mass, assemble_output_mean,
                        assemble_stiffness, dump_kappa, kappa_constant,
-                       kappa_random_grid, kappa_stripes, load_kappa,
-                       restrict_system)
+                       kappa_random_grid, kappa_stripes, restrict_system)
 from .bench import (ExperimentConfig, PRESETS, observed_order, parse_config,
                     preset_config, run_experiment)
 from .dre import (DreSolution, SolverConfig, apply_exp_F, simulate_closed_loop,
@@ -19,11 +18,9 @@ from .dre import (DreSolution, SolverConfig, apply_exp_F, simulate_closed_loop,
 from .lod import (LodBasis, build_lod_basis, clement_interpolation,
                   corrector_decay_profile, default_patch_radius,
                   patch_elements)
-from .lowrank import (LowRankFactor, apply_exp_G, compress, dump_factor,
-                      load_factor, zero_factor)
-from .mesh import (Domain, TriMesh, build_base_mesh, dump_mesh, l_shape,
-                   prolongation, refine_uniform, shape_regularity,
-                   u_shape, unit_square)
+from .lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
+from .mesh import (Domain, TriMesh, build_base_mesh, l_shape, prolongation,
+                   refine_uniform, u_shape, unit_square)
 from .norms import (LiftedPair, SparseCholesky, l2_operator_error,
                     make_lifted_pair, v_operator_error)
 

@@ -16,7 +16,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .mesh import TriMesh
-from .runtime import _text_file
 
 
 class CoefficientField:
@@ -126,7 +125,7 @@ def kappa_constant(value: float) -> CoefficientField:
     return CoefficientField("grid", epsilon=1.0, values=[[value]])
 
 
-def dump_kappa(kappa: CoefficientField, file, epsilon=None) -> None:
+def dump_kappa(kappa: CoefficientField, path, epsilon=None) -> None:
     """Plain-text grid dump: first line epsilon, then row-major cell values.
 
     Non-grid fields are rasterized first (default epsilon: half the stripe
@@ -135,17 +134,10 @@ def dump_kappa(kappa: CoefficientField, file, epsilon=None) -> None:
     if kappa.kind != "grid":
         eps = epsilon if epsilon is not None else kappa.width / 2
         kappa = kappa.to_grid(eps)
-    with _text_file(file, "w") as fh:
+    with open(path, "w") as fh:
         fh.write(f"{kappa.epsilon!r}\n")
         for row in kappa.values:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_kappa(file) -> CoefficientField:
-    with _text_file(file) as fh:
-        eps = float(fh.readline())
-        values = [[float(v) for v in line.split()] for line in fh if line.strip()]
-    return CoefficientField("grid", epsilon=eps, values=np.array(values))
 
 
 # -- P1 assembly ------------------------------------------------------------

@@ -388,7 +388,6 @@ _CONFIG_KEYS = {
     ("solver", "t"): ("T", _parse_number),
     ("solver", "n_t"): ("n_t", int),
     ("solver", "substeps"): ("substeps", int),
-    ("solver", "quad_nodes"): ("quad_nodes", int),   # old alias, see below
     ("solver", "compress_tol"): ("compress_tol", _parse_number),
 }
 
@@ -422,10 +421,6 @@ def parse_config(path: str) -> ExperimentConfig:
             solver[attr] = value
         else:
             setattr(cfg, attr, value)
-    # quad_nodes was a second knob on the same substep grid
-    if "quad_nodes" in solver:
-        solver["substeps"] = max(solver.get("substeps", cfg.solver.substeps),
-                                 solver.pop("quad_nodes"))
     cfg.solver = replace(cfg.solver, **solver)
     return cfg.validate()
 

@@ -9,9 +9,10 @@ basis.  The fine dofs strictly inside each coarse element are condensed
 once per build, so a constrained problem is solved on its patch skeleton
 (the patch dofs on coarse edges) through the small dense Schur complement
 of its quasi-interpolation rows, and the element interiors are recovered
-once per element at the end.  The sparse factorizations are one per
-element interior and one per distinct patch skeleton.  Element problems
-are independent and deterministic, so the basis is reproducible.
+at the end.  The sparse factorizations are one of the block-diagonal
+matrix of all element interiors, used for both the condensation and the
+recovery, and one per distinct patch skeleton.  Element problems are
+independent and deterministic, so the basis is reproducible.
 """
 
 from __future__ import annotations
@@ -118,14 +119,14 @@ class _Workspace:
 def _entries(A: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray):
     """A[rows, cols] elementwise for broadcast index arrays, as a dense
     array; a negative index reads 0.  A holds no duplicate entries."""
+    if not A.has_sorted_indices:
+        A = A.sorted_indices()
     keys = (np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)) * A.shape[1]
             + A.indices)
-    order = np.argsort(keys)
-    keys, vals = keys[order], A.data[order]
     q = rows * A.shape[1] + cols
     pos = np.minimum(np.searchsorted(keys, q), keys.size - 1)
     return np.where((keys[pos] == q) & (rows >= 0) & (cols >= 0),
-                    vals[pos], 0.0)
+                    A.data[pos], 0.0)
 
 
 def _block(rows, cols, sel, shape):
@@ -139,28 +140,44 @@ def _block(rows, cols, sel, shape):
     return idx[A.data.astype(np.int64) - 1], A.indices, A.indptr
 
 
+def _block_diagonal(values, indices, indptr, shape) -> sp.csr_matrix:
+    """CSR matrix blockdiag(A_1, ..., A_n) of blocks of one shape and one
+    CSR pattern (indices, indptr); column e of ``values`` holds the
+    entries of A_e."""
+    n, nnz = values.shape[1], indices.size
+    offsets = np.arange(n)[:, None]
+    return sp.csr_matrix(
+        (values.T.ravel(), (indices + shape[1] * offsets).ravel(),
+         np.append((indptr[:-1] + nnz * offsets).ravel(), n * nnz)),
+        shape=(n * shape[0], n * shape[1]))
+
+
 class _Condensation:
     """The fine dofs strictly inside each coarse element, eliminated once.
 
     Uniform refinement gives every coarse element the same local topology,
     so its fine vertices are numbered once: first the n_I vertices with six
     local triangles, strictly inside the element and always free, then the
-    n_B on its edges.  With E the element's assembled stiffness, Ic its
+    n_B on its edges.  With E an element's assembled stiffness, Ic its
     interior quasi-interpolation rows (one per corner, zero for a Dirichlet
     corner; no other row touches the interior) and r = E P the element
-    right-hand side of its corner hats, it holds per element:
+    right-hand side of its corner hats, it holds:
 
-    - the values of E_II, factored again where needed (`factor_interior`),
-      and of E_IB;
-    - r, the condensed right-hand side rt = r_B - E_BI E_II^-1 r_I on the
-      edges and, corner by corner, D = Ic E_II^-1 Ic^T and
-      g = Ic E_II^-1 r_I.
+    - ``lu``, one factorization of blockdiag(E_II) over all elements, and
+      blockdiag(E_IB), for the recovery of the interiors
+      (`_corrector_matrix`).  The interiors partition part of the free
+      fine dofs, so the factor is bounded by the fine mesh;
+    - per element r, the condensed right-hand side
+      rt = r_B - E_BI E_II^-1 r_I on the edges and, corner by corner,
+      D = Ic E_II^-1 Ic^T and g = Ic E_II^-1 r_I.
 
     Over the whole mesh, on the free nodes, it holds S_skel, the sum of
     the elements' Schur complements E_BB - E_BI E_II^-1 E_IB, and C_skel,
     the quasi-interpolation rows off the element interiors minus the
     boundary images E_BI E_II^-1 Ic^T.  A patch gathers its skeleton rows
-    of both: every element at a patch dof lies in the patch.
+    of both: every element at a patch dof lies in the patch.  All of them
+    come from the elements' stacked columns [E_IB | Ic^T | r_I], solved
+    with ``lu`` one block of columns at a time.
 
     With one refinement between the meshes no vertex is interior, and the
     condensation is the identity.  Raises ValueError if two elements differ
@@ -191,56 +208,77 @@ class _Condensation:
         self.V, self.n_interior = V, nI
         self.B_valence = local_valence[order][nI:]
 
-        # E's distinct entries (rows, cols), each its triangles' blocks
-        # summed in triangle order
+        # E[key, e]: element e's distinct entries (rows, cols), each its
+        # triangles' blocks summed in triangle order by one assembly
+        # operator; with the triangles taken child by child, the local
+        # stiffness Et[(a, b, child), e] needs no copy
         keys, inv = np.unique((loc[:, :, None] * nL + loc[:, None, :]).ravel(),
                               return_inverse=True)
         rows, cols = np.divmod(keys, nL)
-        ii = _block(rows, cols, (rows < nI) & (cols < nI), (nI, nI))
-        ib = _block(rows, cols - nI, (rows < nI) & (cols >= nI), (nI, nB))
-        bi = _block(rows - nI, cols, (rows >= nI) & (cols < nI), (nB, nI))
-        ib_rc = (rows[ib[0]], cols[ib[0]] - nI)
-        bb = (rows >= nI) & (cols >= nI)
-        bb_rc = (rows[bb] - nI, cols[bb] - nI)
-        self._ii = (np.empty((n_el, ii[0].size)), ii[1], ii[2])
-        self._ib = (np.empty((n_el, ib[0].size)), ib[1], ib[2])
-        Et = _element_stiffness(fine, ws.kappa, T.reshape(-1, 3))
-        # P: the corner hats' prolongation values
+        Et = _element_stiffness(fine, ws.kappa,
+                                T.transpose(1, 0, 2).reshape(-1, 3))
+        order = np.argsort(inv, kind="stable")
+        child, ab = np.divmod(order, 9)
+        assemble = sp.csr_matrix(
+            (np.ones(order.size), ab * n_sub + child,
+             np.append(0, np.cumsum(np.bincount(inv)))),
+            shape=(keys.size, order.size))
+        E = assemble @ Et.reshape(-1, n_el)
+        del Et
+        # r = E P, with P the corner hats' prolongation values, summed by
+        # row in key order
         P = _entries(ws.P_full, V[:, :, None], coarse.triangles[:, None, :])
+        by_row = sp.csr_matrix((np.ones(keys.size),
+                                (rows, np.arange(keys.size))),
+                               shape=(nL, keys.size))
+        self.r = np.empty((n_el, nL, 3))
+        for c in range(3):
+            self.r[:, :, c] = (by_row @ (E * P[:, cols, c].T)).T
         corners = ws.coarse_free_index[coarse.triangles]
         self.Ic = _entries(ws.I_free, corners[:, :, None],
                            ws.free_index[V[:, None, :nI]])
-        self.r = np.empty((n_el, nL, 3))
-        self.rt = np.empty((n_el, nB, 3))
-        self.D = np.zeros((n_el, 3, 3))
-        self.g = np.zeros((n_el, 3, 3))
-        S = np.empty((n_el, nB, nB))
-        G = np.zeros((n_el, nB, 3))
-        r_keys = (rows[:, None] * 3 + np.arange(3)).ravel()
-        for e in range(n_el):
-            E = np.bincount(inv, Et[:, :, e * n_sub:(e + 1) * n_sub]
-                            .transpose(2, 0, 1).ravel(), minlength=keys.size)
-            self._ii[0][e], self._ib[0][e] = E[ii[0]], E[ib[0]]
-            r = self.r[e] = np.bincount(r_keys, (E[:, None] * P[e, cols])
-                                        .ravel(), minlength=nL * 3
-                                        ).reshape(nL, 3)
-            S_e = np.zeros((nB, nB))
-            S_e[bb_rc] = E[bb]
-            self.rt[e] = r[nI:]
-            if nI:
-                rhs = np.zeros((nI, nB + 6))
-                rhs[ib_rc] = E[ib[0]]
-                rhs[:, nB:nB + 3], rhs[:, nB + 3:] = self.Ic[e].T, r[:nI]
-                X = _solve_blocks(self.factor_interior(e), rhs)
-                Y = sp.csr_matrix((E[bi[0]], bi[1], bi[2]),
-                                  shape=(nB, nI)) @ X
-                S_e -= Y[:, :nB]
-                G[e] = Y[:, nB:nB + 3]
-                self.rt[e] -= Y[:, nB + 3:]
-                IX = self.Ic[e] @ X[:, nB:]
-                self.D[e], self.g[e] = IX[:, :3], IX[:, 3:]
-            S[e] = 0.5 * (S_e + S_e.T)
-        del Et
+        ib = _block(rows, cols - nI, (rows < nI) & (cols >= nI), (nI, nB))
+        self.E_IB = _block_diagonal(E[ib[0]], *ib[1:], (nI, nB))
+
+        # [E_BB - E_BI X_B | -E_BI X_c | r_B - E_BI X_r] and Ic [X_c | X_r]
+        # with [X_B | X_c | X_r] = E_II^-1 [E_IB | Ic^T | r_I]
+        out = np.zeros((n_el, nB, nB + 6))
+        bb = (rows >= nI) & (cols >= nI)
+        out[:, rows[bb] - nI, cols[bb] - nI] = E[bb].T
+        out[:, :, nB + 3:] = self.r[:, nI:]
+        IX = np.zeros((n_el, 3, 6))
+        self.lu = None
+        if nI:
+            ii = _block(rows, cols, (rows < nI) & (cols < nI), (nI, nI))
+            try:  # E_II is symmetric: its CSR transpose is its CSC form
+                self.lu = _factor_spd(_block_diagonal(E[ii[0]], *ii[1:],
+                                                      (nI, nI)).T)
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError(
+                    f"singular element interior stiffness ({exc})") from exc
+            ib_r, ib_c, ib_v = rows[ib[0]], cols[ib[0]] - nI, E[ib[0]].T
+            cr = np.concatenate([self.Ic.transpose(0, 2, 1), self.r[:, :nI]],
+                                axis=2)  # [Ic^T | r_I]
+            E_BI = self.E_IB.T  # E is symmetric
+            for a in range(0, nB + 6, _SOLVE_COLUMNS):
+                b = min(a + _SOLVE_COLUMNS, nB + 6)
+                rhs = np.zeros((n_el, nI, b - a))
+                sel = (ib_c >= a) & (ib_c < b)
+                rhs[:, ib_r[sel], ib_c[sel] - a] = ib_v[:, sel]
+                c = max(a, nB)
+                rhs[:, :, c - a:] = cr[:, :, c - nB:max(b - nB, 0)]
+                X = self.lu.solve(rhs.reshape(-1, b - a))
+                out[:, :, a:b] -= (E_BI @ X).reshape(n_el, nB, b - a)
+                IX[:, :, c - nB:max(b - nB, 0)] = (
+                    self.Ic @ X.reshape(n_el, nI, b - a)[:, :, c - a:])
+            del rhs, X, cr, ib_v
+        del E
+        self.rt = out[:, :, nB + 3:].copy()
+        self.D, self.g = IX[:, :, :3], IX[:, :, 3:]
+        G = out[:, :, nB:nB + 3].copy()  # -E_BI E_II^-1 Ic^T
+        S = out[:, :, :nB] + out[:, :, :nB].transpose(0, 2, 1)
+        S *= 0.5
+        del out
 
         # an off-diagonal entry of S_skel sums at most two elements, so
         # S_skel is exactly symmetric
@@ -258,30 +296,12 @@ class _Condensation:
         keep = ~interior[I_free.col]
         pair = on[:, :, None] & (corners >= 0)[:, None, :]
         self.C_skel = sp.csr_matrix(
-            (np.concatenate([I_free.data[keep], -G[pair]]),
+            (np.concatenate([I_free.data[keep], G[pair]]),
              (np.concatenate([I_free.row[keep], np.broadcast_to(
                  corners[:, None, :], pair.shape)[pair]]),
               np.concatenate([I_free.col[keep], np.broadcast_to(
                   bf[:, :, None], pair.shape)[pair]]))),
             shape=I_free.shape)
-
-    def factor_interior(self, e):
-        """Sparse LU of element e's E_II (`_factor_spd`).  The factors
-        are not kept: 128 of them, of 105 dofs each, held 16 MiB."""
-        data, indices, indptr = self._ii
-        nI = self.n_interior
-        try:
-            return _factor_spd(sp.csc_matrix((data[e], indices, indptr),
-                                             shape=(nI, nI)))
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(
-                f"element {e}: singular interior stiffness ({exc})") from exc
-
-    def E_IB(self, e) -> sp.csr_matrix:
-        data, indices, indptr = self._ib
-        nI = self.n_interior
-        return sp.csr_matrix((data[e], indices, indptr),
-                             shape=(nI, self.V.shape[1] - nI))
 
 
 def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
@@ -309,12 +329,14 @@ def _factor_spd(S):
                 options=dict(SymmetricMode=True))
 
 
-# Right-hand-side columns per SuperLU solve.  With BLAS unpinned on two
-# cores, a solve on a 228-dof skeleton factor took 0.318 ms at 1.92 CPU
-# seconds per wall second with 16 columns, and 0.129 ms at 1.00 with 8;
-# 102 columns on a 465-dof element interior ran at 2 CPU seconds per wall
-# second: wider blocks wake the OpenBLAS thread pool.  A real BLAS pin
-# (ROADMAP item 1) ends the need for this limit.
+# Right-hand-side columns per SuperLU solve, for the patch skeletons and
+# the block-diagonal interior factor alike: the condensation's stacked
+# columns [E_IB | Ic^T | r_I] and the recovery's hat slots are solved this
+# many at a time.  With BLAS unpinned on two cores, a solve on a 228-dof
+# skeleton factor took 0.318 ms at 1.92 CPU seconds per wall second with
+# 16 columns, and 0.129 ms at 1.00 with 8: wider blocks wake the OpenBLAS
+# thread pool.  A real BLAS pin (ROADMAP item 1) ends the need for this
+# limit.
 _SOLVE_COLUMNS = 8
 
 
@@ -431,15 +453,18 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     """Q, the sum by hat of the corrector columns of the given skeleton
     solves (`_skeleton_solve`), over the free fine and coarse nodes.
 
-    The skeleton values enter as solved.  Every element's interior values
-    are then recovered by one solve with its E_II over all the columns
-    that touch it, summed by hat: from the skeleton values on its edges
-    (read off Q), the multipliers of its corners, and its own right-hand
-    side where the element itself was solved.  The solves are taken in
-    element order, so Q does not depend on how they were grouped.
+    The skeleton values enter as solved.  The interior values are then
+    recovered, for every element and every hat whose columns touch it
+    (padded to the same number of hat slots per element), from the
+    skeleton values on its edges (read off Q), the multipliers of its
+    corners, summed by hat, and its own right-hand side where the element
+    itself was solved: -E_IB x_B - Ic^T lam + r_I, solved with the
+    condensation's block-diagonal factor one block of slots at a time.
+    The sums run in element order, so Q does not depend on how the
+    solves were grouped.
     """
     fine, coarse = ws.fine, ws.coarse
-    n_c = coarse.n_free
+    n_c, n_el = coarse.n_free, coarse.n_triangles
     solved = sorted(solved, key=lambda s: s.K)
     if not solved:
         return sp.csr_matrix((fine.n_free, n_c))
@@ -465,29 +490,37 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     keys, inv = np.unique(keys, return_inverse=True)
     lam = np.stack([np.bincount(inv, lam[:, c], minlength=keys.size)
                     for c in range(3)], axis=1)
+    # slot j of element e: its j-th hat in increasing order, -1 past the end
     element, hat = np.divmod(keys, n_c)
-    bounds = np.flatnonzero(np.diff(element)) + 1
-    own = {s.K for s in solved}
-    col_pos = np.full(n_c, -1, dtype=np.int64)
+    start = np.searchsorted(element, np.arange(n_el))
+    slot = np.arange(keys.size) - start[element]
+    hats = np.full((n_el, slot.max() + 1), -1)
+    hats[element, slot] = hat
+    lams = np.zeros((n_el, 3, hats.shape[1]))
+    lams[element, :, slot] = lam
+    # the solved elements' own right-hand sides, by (element, corner, slot)
+    own = np.array([s.K for s in solved])
+    corner = ws.coarse_free_index[coarse.triangles[own]]
+    i, own_c = np.nonzero(corner >= 0)
+    own = own[i]
+    own_slot = np.searchsorted(keys, own * n_c + corner[i, own_c]) - start[own]
+    brow = ws.free_index[cd.V[:, nI:]]
+    interior = ws.free_index[cd.V[:, :nI]]
+    IcT = cd.Ic.transpose(0, 2, 1)
     rows, cols, vals = [], [], []
-    for a, b in zip(np.r_[0, bounds], np.r_[bounds, keys.size]):
-        e, z = element[a], hat[a:b]
-        col_pos[z] = np.arange(z.size)
-        brow = ws.free_index[cd.V[e, nI:]]
-        on = np.flatnonzero(brow >= 0)
-        data, pos, indptr = _gather(Q, brow[on], col_pos)
-        col_pos[z] = -1
-        XB = np.zeros((brow.size, z.size))
-        XB[np.repeat(on, np.diff(indptr)), pos] = data
-        rhs = -(cd.E_IB(e) @ XB) - cd.Ic[e].T @ lam[a:b].T
-        if e in own:
-            corner = ws.coarse_free_index[coarse.triangles[e]]
-            free = corner >= 0
-            rhs[:, np.searchsorted(z, corner[free])] += cd.r[e, :nI][:, free]
-        interior = ws.free_index[cd.V[e, :nI]]
-        rows.append(np.repeat(interior, z.size))
-        cols.append(np.tile(z, nI))
-        vals.append(_solve_blocks(cd.factor_interior(e), rhs).ravel())
+    for a in range(0, hats.shape[1], _SOLVE_COLUMNS):
+        z = hats[:, a:a + _SOLVE_COLUMNS]
+        w = z.shape[1]
+        XB = _entries(Q, brow[:, :, None], z[:, None, :])
+        rhs = (-(cd.E_IB @ XB.reshape(-1, w)).reshape(n_el, nI, w)
+               - IcT @ lams[:, :, a:a + w])
+        sel = (own_slot >= a) & (own_slot < a + w)
+        rhs[own[sel], :, own_slot[sel] - a] += cd.r[own[sel], :nI, own_c[sel]]
+        X = cd.lu.solve(rhs.reshape(-1, w)).reshape(n_el, nI, w)
+        e, j = np.nonzero(z >= 0)
+        rows.append(interior[e].ravel())
+        cols.append(np.repeat(z[e, j], nI))
+        vals.append(X[e, :, j].ravel())
     Q_int = sp.coo_matrix((np.concatenate(vals),
                            (np.concatenate(rows), np.concatenate(cols))),
                           shape=Q.shape).tocsr()

@@ -13,8 +13,6 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg import lapack
 
-from .runtime import _text_file
-
 _PSD_SLACK = 1e-12
 
 
@@ -152,22 +150,3 @@ def apply_exp_G(t: float, F: LowRankFactor, B: np.ndarray,
             "singular small system in the nonlinear flow") from exc
     return LowRankFactor(F.L.copy(), 0.5 * (Dnew + Dnew.T))
 
-
-def dump_factor(F: LowRankFactor, file) -> None:
-    """Plain-text factor dump: a header line 'n r', then the rows of L,
-    then the rows of D, one row per line."""
-    with _text_file(file, "w") as fh:
-        fh.write(f"{F.n} {F.rank}\n")
-        for row in F.L:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-        for row in F.D:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_factor(file) -> LowRankFactor:
-    with _text_file(file) as fh:
-        n, r = (int(v) for v in fh.readline().split())
-        rows = [[float(v) for v in fh.readline().split()] for _ in range(n)]
-        drows = [[float(v) for v in fh.readline().split()] for _ in range(r)]
-    return LowRankFactor(np.array(rows).reshape(n, r),
-                         np.array(drows).reshape(r, r))

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .runtime import _text_file
-
 INTERIOR = 0
 DIRICHLET = 1
 NEUMANN = 2
-
-FLAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann"}
 
 _GEOM_TOL = 1e-12
 
@@ -305,31 +301,6 @@ def prolongation(coarse: TriMesh, fine: TriMesh,
     if all_nodes:
         return P.tocsr()
     return P[fine.free_nodes][:, coarse.free_nodes].tocsr()
-
-
-def shape_regularity(mesh: TriMesh) -> float:
-    """max over triangles of (inscribed ball diameter) / (triangle diameter)."""
-    x, y = mesh._corner_coords()
-    sides = []
-    for i, j in ((0, 1), (1, 2), (2, 0)):
-        sides.append(np.sqrt((x[:, i] - x[:, j]) ** 2 + (y[:, i] - y[:, j]) ** 2))
-    sides = np.array(sides)
-    peri = sides.sum(axis=0)
-    diam = sides.max(axis=0)
-    area = np.abs(mesh.triangle_areas())
-    # inradius r = 2*area / perimeter, ball diameter = 2r
-    gamma = (4.0 * area / peri) / diam
-    return float(gamma.max())
-
-
-def dump_mesh(mesh: TriMesh, file) -> None:
-    """Write a plain-text mesh dump: one 'vertex x y flag' line per vertex
-    followed by one 'triangle i j k' line per triangle."""
-    with _text_file(file, "w") as fh:
-        for (x, y), f in zip(mesh.vertices, mesh.node_flags):
-            fh.write(f"vertex {float(x)!r} {float(y)!r} {FLAG_NAMES[int(f)]}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"triangle {i} {j} {k}\n")
 
 
 def descendant_triangles(coarse: TriMesh, fine: TriMesh,

@@ -1,4 +1,4 @@
-"""BLAS threadpool control and text-file arguments.
+"""BLAS threadpool control.
 
 The factor algebra works on tall-skinny matrices where threaded BLAS
 oversubscribes badly on small machines (observed 40x slowdowns from thread
@@ -8,8 +8,7 @@ this also keeps benchmark timings uncontended.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 
 try:
     from threadpoolctl import threadpool_limits
@@ -24,13 +23,3 @@ def single_thread_blas():
         return nullcontext()
     return threadpool_limits(limits=1)
 
-
-@contextmanager
-def _text_file(file, mode="r"):
-    """Yield an open text stream as is; open a path (str, bytes or
-    os.PathLike) in ``mode`` and close it on exit."""
-    if not isinstance(file, (str, bytes, os.PathLike)):
-        yield file
-        return
-    with open(file, mode) as fh:
-        yield fh

@@ -253,6 +253,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
     ("solver", "compress_tol = 1", "compress_tol"),
     ("kappa", "type = stripe", "stripe"),
     ("experiment", "workers = 2", "workers"),   # removed knob
+    ("solver", "quad_nodes = 4", "quad_nodes"),  # removed alias
     ("kappa", "lo = nan", "lo=nan"),
     ("kappa", "type = stripes\nvalue = nan", "nan"),
     ("kappa", "type = constant\nconstant = inf", "inf"),

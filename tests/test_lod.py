@@ -290,7 +290,7 @@ def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
     coarse, fine = chain[1], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
     ws = lod._Workspace(fine, coarse, kappa)
-    ws.condensation  # the interior factorizations, before the capture
+    ws.condensation  # the interior factorization, before the capture
     seen = []
     factor_spd = lod._factor_spd
 
@@ -334,6 +334,55 @@ def test_skeleton_and_interiors_partition_patch_dofs(domain):
             assert np.array_equal(
                 np.sort(both),
                 ws.free_index[reference_patch_dofs(coarse, fine, patch)])
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_condensation_matches_dense_schur_complements(domain):
+    # S_skel, C_skel, rt, D and g against each element's Schur complement,
+    # formed densely from the element's own triangles; the coefficient
+    # varies inside every element, so no interior right-hand side is zero
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -5, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    cd = ws.condensation
+    nI = cd.n_interior
+    assert nI > 0
+    P = mm.prolongation(coarse, fine, all_nodes=True)
+    I_free = ws.I_free.toarray()
+    S_skel = np.zeros((fine.n_free,) * 2)
+    C_skel = I_free.copy()
+    C_skel[:, ws.free_index[cd.V[:, :nI]].ravel()] = 0.0
+    rt, D, g = [], [], []
+    for K in range(coarse.n_triangles):
+        T = fine.triangles[mm.descendant_triangles(coarse, fine, K)]
+        E = asm._accumulate(T, fine.n_vertices,
+                            asm._element_stiffness(fine, kappa, T))
+        E = E.toarray()[np.ix_(cd.V[K], cd.V[K])]
+        r = E @ P[cd.V[K]][:, coarse.triangles[K]].toarray()
+        corners = ws.coarse_free_index[coarse.triangles[K]]
+        free = corners >= 0
+        Ic = np.zeros((3, nI))
+        Ic[free] = I_free[corners[free]][:, ws.free_index[cd.V[K, :nI]]]
+        X = np.linalg.solve(E[:nI, :nI],
+                            np.hstack([E[:nI, nI:], Ic.T, r[:nI]]))
+        Y = E[nI:, :nI] @ X
+        nB = Y.shape[0]
+        bf = ws.free_index[cd.V[K, nI:]]
+        on = bf >= 0
+        S_skel[np.ix_(bf[on], bf[on])] += (E[nI:, nI:]
+                                           - Y[:, :nB])[np.ix_(on, on)]
+        C_skel[np.ix_(corners[free], bf[on])] -= \
+            Y[:, nB:nB + 3][np.ix_(on, free)].T
+        rt.append(r[nI:] - Y[:, nB + 3:])
+        D.append(Ic @ X[:, nB:nB + 3])
+        g.append(Ic @ X[:, nB + 3:])
+    for got, want in ((cd.S_skel.toarray(), S_skel),
+                      (cd.C_skel.toarray(), C_skel),
+                      (cd.rt, np.array(rt)), (cd.D, np.array(D)),
+                      (cd.g, np.array(g))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_one_refinement_condenses_nothing(monkeypatch):
@@ -619,11 +668,12 @@ def per_element_basis(fine, coarse, kappa, k, system):
     return (ws.P_free - lod._corrector_matrix(ws, solved)).tocsr()
 
 
-@pytest.mark.parametrize("level, n_patches", [(0, 2), (1, 22)])
+@pytest.mark.parametrize("level, n_patches", [(0, 2), (1, 22), (2, 126)])
 def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     # elements with the same patch share one factorization of its
-    # skeleton; each element interior is factored twice, for its
-    # condensation and for its recovery; the basis equals the per-element
+    # skeleton; all element interiors share one block-diagonal
+    # factorization, for their condensation and their recovery, and with
+    # one refinement there is none; the basis equals the per-element
     # build bit for bit
     chain = mesh_chain(3)
     coarse, fine = chain[level], chain[3]
@@ -644,7 +694,7 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     with monkeypatch.context() as m:
         m.setattr(lod, "splu", counting_splu)
         basis = lod.build_lod_basis(fine, coarse, kappa, k, system)
-    assert len(calls) == n_patches + 2 * coarse.n_triangles
+    assert len(calls) == n_patches + (ws.condensation.n_interior > 0)
     assert basis.stats["patch_factorizations"] == n_patches
     assert basis.stats["n_elements"] == coarse.n_triangles
 
@@ -652,6 +702,29 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     assert np.array_equal(basis.Rh.indptr, expected.indptr)
     assert np.array_equal(basis.Rh.indices, expected.indices)
     assert np.array_equal(basis.Rh.data, expected.data)
+
+
+@pytest.mark.parametrize("level", [0, 1])
+def test_build_solves_at_most_solve_columns(monkeypatch, level):
+    # every SuperLU solve of a build, with the interior factor or a patch
+    # skeleton factor, takes at most _SOLVE_COLUMNS right-hand sides
+    chain = mesh_chain(3)
+    coarse, fine = chain[level], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    widths = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs, *args, **kwargs):
+            widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return self.lu.solve(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(lod, "splu", lambda *a, **kw: Counted(splu(*a, **kw)))
+    lod.build_lod_basis(fine, coarse, kappa, lod.default_patch_radius(coarse),
+                        make_system(fine, kappa))
+    assert max(widths) == lod._SOLVE_COLUMNS
 
 
 def test_patch_and_radius_validation(small):

