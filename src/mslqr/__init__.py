@@ -13,8 +13,8 @@ from .assembly import (CoefficientField, LqrSystem, assemble_input_squares,
                        kappa_random_grid, kappa_stripes, restrict_system)
 from .bench import (ExperimentConfig, PRESETS, observed_order, parse_config,
                     preset_config, run_experiment)
-from .dre import (DreSolution, SolverConfig, apply_exp_F, simulate_closed_loop,
-                  solve_dre, strang_step)
+from .dre import (DreSolution, FlowCache, SolverConfig, apply_exp_F,
+                  simulate_closed_loop, solve_dre, strang_step)
 from .lod import (LodBasis, build_lod_basis, clement_interpolation,
                   corrector_decay_profile, default_patch_radius,
                   patch_elements)
@@ -22,6 +22,6 @@ from .lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
 from .mesh import (Domain, TriMesh, build_base_mesh, l_shape, prolongation,
                    refine_uniform, u_shape, unit_square)
 from .norms import (LiftedPair, SparseCholesky, l2_operator_error,
-                    make_lifted_pair, v_operator_error)
+                    v_operator_error)
 
 __version__ = "0.1.0"

@@ -22,13 +22,13 @@ import numpy as np
 from . import mesh as mesh_mod
 from .assembly import (CoefficientField, LqrSystem, assemble_input_squares,
                        assemble_mass, assemble_output_mean,
-                       assemble_stiffness, dump_kappa, kappa_constant,
-                       kappa_random_grid, kappa_stripes, restrict_system)
+                       assemble_stiffness, kappa_constant, kappa_random_grid,
+                       kappa_stripes, restrict_system)
 from .dre import SolverConfig, solve_dre
 from .lod import build_lod_basis, default_patch_radius
 from .lowrank import zero_factor
 from .mesh import build_base_mesh, prolongation, refine_uniform
-from .norms import (SparseCholesky, l2_operator_error, make_lifted_pair,
+from .norms import (LiftedPair, SparseCholesky, l2_operator_error,
                     v_operator_error)
 from .runtime import single_thread_blas
 
@@ -317,12 +317,10 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
             time_lod = time.perf_counter() - t0
             _rank_sanity(lod_sol.final.rank, f"level-{j} multiscale")
 
-            fem_pair = make_lifted_pair(ref.final, fem.final, P,
-                                        system.M, system.S,
-                                        chol_M=chol_M, chol_S=chol_S)
-            lod_pair = make_lifted_pair(ref.final, lod_sol.final, basis.Rh,
-                                        system.M, system.S,
-                                        chol_M=chol_M, chol_S=chol_S)
+            fem_pair = LiftedPair(ref.final, fem.final, P, system.M,
+                                  chol_M, chol_S)
+            lod_pair = LiftedPair(ref.final, lod_sol.final, basis.Rh,
+                                  system.M, chol_M, chol_S)
             res = LevelResult(
                 H=coarse.pitch, n_coarse=coarse_sys.n,
                 err_L2_fem=l2_operator_error(fem_pair),
@@ -423,7 +421,3 @@ def parse_config(path: str) -> ExperimentConfig:
             setattr(cfg, attr, value)
     cfg.solver = replace(cfg.solver, **solver)
     return cfg.validate()
-
-
-def write_kappa_grid(cfg: ExperimentConfig, out_path: str) -> None:
-    dump_kappa(build_kappa(cfg), out_path)

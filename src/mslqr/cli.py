@@ -5,7 +5,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import PRESETS, parse_config, run_experiment, write_kappa_grid
+from .assembly import dump_kappa
+from .bench import PRESETS, build_kappa, parse_config, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -36,7 +37,7 @@ def main(argv=None) -> int:
                 _, desc = PRESETS[name]
                 print(f"{name:<{width}}  {desc}")
         elif args.command == "dump-kappa":
-            write_kappa_grid(parse_config(args.config), args.out)
+            dump_kappa(build_kappa(parse_config(args.config)), args.out)
             print(f"wrote {args.out}")
         elif args.command == "run":
             cfg = parse_config(args.config)

@@ -66,7 +66,11 @@ def crank_nicolson_ops(system: LqrSystem, dt: float):
 
 
 class FlowCache:
-    """Factorizations and output Gramians reused across a whole run."""
+    """Factorizations and output Gramians reused across a whole run.
+
+    `solve_dre` builds one per run; `apply_exp_F` and `strang_step` step
+    with it and read the system and configuration it holds.
+    """
 
     def __init__(self, system: LqrSystem, cfg: SolverConfig):
         self.system = system
@@ -122,8 +126,7 @@ class FlowCache:
         return self._gramians[key]
 
 
-def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
-                cfg: SolverConfig, cache: FlowCache | None = None
+def apply_exp_F(t: float, F: LowRankFactor, cache: FlowCache
                 ) -> LowRankFactor:
     """Affine Riccati flow: propagated factor plus the output Gramian.
 
@@ -134,8 +137,6 @@ def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
     """
     if t < 0:
         raise ValueError("flow time must be nonnegative")
-    if cache is None:
-        cache = FlowCache(system, cfg)
     if t == 0.0:
         return F.copy()
     G = cache.gramian(t)
@@ -149,27 +150,25 @@ def apply_exp_F(t: float, F: LowRankFactor, system: LqrSystem,
         blocks_L.append(G.L)
         blocks_D.append(G.D)
     if not blocks_L:
-        return zero_factor(system.n)
+        return zero_factor(cache.system.n)
     out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
-    return compress(out, cfg.compress_tol)
+    return compress(out, cache.cfg.compress_tol)
 
 
-def strang_step(tau: float, F: LowRankFactor, system: LqrSystem,
-                cfg: SolverConfig, cache: FlowCache | None = None
+def strang_step(tau: float, F: LowRankFactor, cache: FlowCache
                 ) -> LowRankFactor:
     """One step exp(tau/2 F) exp(tau G) exp(tau/2 F), compressed between
     the stages.  A NaN or Inf raises FloatingPointError naming the stage."""
     if tau <= 0:
         raise ValueError("step size must be positive")
-    if cache is None:
-        cache = FlowCache(system, cfg)
+    system, tol = cache.system, cache.cfg.compress_tol
     stage = "first affine half-step"
     try:
-        Y = apply_exp_F(0.5 * tau, F, system, cfg, cache)
+        Y = apply_exp_F(0.5 * tau, F, cache)
         stage = "quadratic flow"
-        Y = compress(apply_exp_G(tau, Y, system.B, system.R), cfg.compress_tol)
+        Y = compress(apply_exp_G(tau, Y, system.B, system.R), tol)
         stage = "second affine half-step"
-        return apply_exp_F(0.5 * tau, Y, system, cfg, cache)
+        return apply_exp_F(0.5 * tau, Y, cache)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{stage}: {exc}") from exc
 
@@ -204,7 +203,7 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
         cps = [X.copy()] if store_checkpoints else None
         for j in range(cfg.n_t):
             try:
-                X = strang_step(cfg.tau, X, system, cfg, cache)
+                X = strang_step(cfg.tau, X, cache)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"Strang step {j + 1} of {cfg.n_t}, {exc}") from exc
@@ -237,7 +236,15 @@ def simulate_closed_loop(system: LqrSystem, solution, x0: np.ndarray,
     if solution is None:
         cps = None
     else:
-        cps = solution.checkpoints if isinstance(solution, DreSolution) else solution
+        if isinstance(solution, DreSolution):
+            solved = solution.config
+            if (solved.T, solved.n_t) != (cfg.T, cfg.n_t):
+                raise ValueError(f"solution was solved with T={solved.T!r}, "
+                                 f"n_t={solved.n_t}, not T={cfg.T!r}, "
+                                 f"n_t={cfg.n_t}")
+            cps = solution.checkpoints
+        else:
+            cps = solution
         if cps is None:
             raise ValueError("closed-loop simulation needs stored checkpoints")
         if len(cps) != cfg.n_t + 1:

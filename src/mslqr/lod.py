@@ -102,6 +102,9 @@ class _Workspace:
         self.free_index[fine.free_nodes] = np.arange(fine.n_free)
         self.coarse_free_index = np.full(coarse.n_vertices, -1, dtype=np.int64)
         self.coarse_free_index[coarse.free_nodes] = np.arange(coarse.n_free)
+        # patch position of each free fine dof, -1 outside the patch being
+        # solved (`_skeleton_solve` sets and resets its own entries)
+        self.dof_pos = np.full(fine.n_free, -1, dtype=np.int64)
         self._condensation = None
 
     def free_hats(self, K):
@@ -411,22 +414,23 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             f"element {K}: patch has no skeleton fine nodes")
     dof_free = ws.free_index[verts]
     n_s = dof_free.size
-    dof_pos = np.full(ws.fine.n_free, -1, dtype=np.int64)
-    dof_pos[dof_free] = np.arange(n_s)
     corner = ws.coarse_free_index[coarse.triangles[patch]]
     c_free = np.unique(corner)
     c_free = c_free[c_free >= 0]
     n_c = c_free.size
     cpos = np.where(corner >= 0, np.searchsorted(c_free, corner), -1)
-    # S_skel is symmetric, so its patch rows read as columns are Sc
-    Sc = sp.csc_matrix(_gather(cd.S_skel, dof_free, dof_pos),
-                       shape=(n_s, n_s))
-    Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos), shape=(n_c, n_s))
     cc = (cpos >= 0)[:, :, None] & (cpos >= 0)[:, None, :]
     D = np.bincount((cpos[:, :, None] * n_c + cpos[:, None, :])[cc],
                     cd.D[patch][cc], minlength=n_c * n_c).reshape(n_c, n_c)
+    dof_pos = ws.dof_pos
     out = []
     try:
+        dof_pos[dof_free] = np.arange(n_s)
+        # S_skel is symmetric, so its patch rows read as columns are Sc
+        Sc = sp.csc_matrix(_gather(cd.S_skel, dof_free, dof_pos),
+                           shape=(n_s, n_s))
+        Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos),
+                           shape=(n_c, n_s))
         lu = _factor_spd(Sc)
         Yc = _solve_blocks(lu, Ct.T.toarray())
         sigma = sla.cho_factor(Ct @ Yc + D)
@@ -446,6 +450,8 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     except (RuntimeError, np.linalg.LinAlgError) as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
+    finally:
+        dof_pos[dof_free] = -1
     return out
 
 
@@ -541,11 +547,6 @@ class LodBasis:
     ms: LqrSystem
     stats: dict = field(default_factory=dict)
 
-    @classmethod
-    def restrict(cls, k, Rh, system: LqrSystem, stats) -> "LodBasis":
-        """Basis Rh together with the restriction of ``system`` through it."""
-        return cls(k, Rh, restrict_system(system, Rh), stats)
-
     n_coarse = property(lambda self: self.Rh.shape[1])
     S_ms = property(lambda self: self.ms.S)
 
@@ -591,7 +592,8 @@ def _build_lod_basis(fine, coarse, kappa, k, system):
              "patch_factorizations": n_factorizations,
              "patch_elements_min": int(min(sizes)),
              "patch_elements_max": int(max(sizes))}
-    return LodBasis.restrict(k, (P_free - Q).tocsr(), system, stats)
+    Rh = (P_free - Q).tocsr()
+    return LodBasis(k, Rh, restrict_system(system, Rh), stats)
 
 
 def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
@@ -604,8 +606,8 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     S = system.S.tocsr()
     Q = _constrained_solve(_factor_spd(S), ws.I_free,
                            (S @ ws.P_free).toarray())
-    return LodBasis.restrict(-1, sp.csr_matrix(ws.P_free - Q), system,
-                             {"global": True})
+    Rh = sp.csr_matrix(ws.P_free - Q)
+    return LodBasis(-1, Rh, restrict_system(system, Rh), {"global": True})
 
 
 def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,

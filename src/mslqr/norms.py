@@ -62,15 +62,14 @@ class LiftedPair:
     ``lift`` maps coarse coefficients into the fine space (prolongation for
     plain coarse FEM, the corrected basis for the multiscale method); None
     means the identity.  ``chol_M``/``chol_S`` are Cholesky factorizations
-    of the fine mass and stiffness matrices and may be shared across pairs
-    built on the same fine discretization.
+    of the fine mass and stiffness matrices, built once by the caller and
+    shared across the pairs of one fine discretization.
     """
 
     fine: LowRankFactor
     coarse: LowRankFactor
     lift: sp.spmatrix | None
     M: sp.spmatrix
-    S: sp.spmatrix
     chol_M: SparseCholesky
     chol_S: SparseCholesky
 
@@ -78,13 +77,6 @@ class LiftedPair:
         if self.lift is None:
             return self.coarse.L
         return self.lift @ self.coarse.L
-
-
-def make_lifted_pair(fine, coarse, lift, M, S,
-                     chol_M=None, chol_S=None) -> LiftedPair:
-    return LiftedPair(fine, coarse, lift, M, S,
-                      chol_M if chol_M is not None else SparseCholesky(M),
-                      chol_S if chol_S is not None else SparseCholesky(S))
 
 
 def _difference_blocks(pair: LiftedPair):

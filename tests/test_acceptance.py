@@ -171,7 +171,8 @@ def test_criterion_4_lowrank_oracles():
                         np.diag(rng.uniform(0.2, 1.0, 4)))
     F_c = LowRankFactor(rng.standard_normal((coarse.n_free, 3)),
                         np.diag(rng.uniform(0.2, 1.0, 3)))
-    pair = norms.make_lifted_pair(F_h, F_c, P, M, S)
+    pair = norms.LiftedPair(F_h, F_c, P, M, norms.SparseCholesky(M),
+                            norms.SparseCholesky(S))
     Delta = F_h.to_dense() - (P @ F_c.L) @ F_c.D @ (P @ F_c.L).T
     L_M = np.linalg.cholesky(M.toarray())
     l2_dense = np.abs(np.linalg.eigvalsh(L_M.T @ Delta @ L_M)).max()

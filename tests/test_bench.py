@@ -4,6 +4,7 @@ import pytest
 from mslqr import assembly as asm
 from mslqr import bench
 from mslqr import mesh as mm
+from mslqr import norms
 from mslqr.cli import main
 from mslqr.dre import SolverConfig
 
@@ -129,6 +130,21 @@ def test_experiment_record_and_csv(tmp_path):
     assert any(c.startswith("# order_L2_lod=") for c in comments)
     # errors decrease and multiscale beats plain coarse Galerkin here
     assert float(rows[1]["err_L2_lod"]) <= float(rows[0]["err_L2_lod"])
+
+
+def test_norm_factors_built_once_per_study(tmp_path, monkeypatch):
+    # the mass and stiffness Cholesky factors serve both levels' pairs
+    calls = []
+    real_splu = norms.splu
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "splu", counted)
+    rec = bench.run_experiment(tiny_config(tmp_path))
+    assert len(rec.levels) == 2
+    assert len(calls) == 2
 
 
 def test_csv_deterministic_outside_timings(tmp_path):

@@ -78,7 +78,7 @@ def test_exp_f_time_zero_is_identity():
     cfg = SolverConfig(T=1.0, n_t=8)
     rng = np.random.default_rng(0)
     F = LowRankFactor(rng.standard_normal((system.n, 3)), np.eye(3))
-    out = apply_exp_F(0.0, F, system, cfg)
+    out = apply_exp_F(0.0, F, FlowCache(system, cfg))
     assert np.allclose(out.to_dense(), F.to_dense())
 
 
@@ -88,7 +88,7 @@ def test_exp_f_scalar_decay():
     cfg = SolverConfig(T=1.0, n_t=1, substeps=256)
     F = LowRankFactor(np.array([[1.0]]), np.array([[0.9]]))
     t = 0.5
-    out = apply_exp_F(t, F, system, cfg)
+    out = apply_exp_F(t, F, FlowCache(system, cfg))
     exact = 0.9 * np.exp(-2 * t * 3.0 / 2.0)
     assert out.to_dense()[0, 0] == pytest.approx(exact, rel=1e-4)
 
@@ -96,7 +96,8 @@ def test_exp_f_scalar_decay():
 def test_exp_f_gramian_only():
     system = small_system()
     cfg = SolverConfig(T=1.0, n_t=8, substeps=4)
-    out = apply_exp_F(cfg.tau / 2, zero_factor(system.n), system, cfg)
+    out = apply_exp_F(cfg.tau / 2, zero_factor(system.n),
+                      FlowCache(system, cfg))
     nodes = cfg.substeps + 1
     assert 0 < out.rank <= nodes * system.p
     lam = np.linalg.eigvalsh(out.D)
@@ -111,10 +112,8 @@ def test_exp_f_semigroup_composition():
     L = rng.standard_normal((system.n, 4))
     F = LowRankFactor(L, np.diag(rng.uniform(0.5, 1.0, 4)))
     tau = cfg.tau
-    once = apply_exp_F(tau, F, system, cfg, cache)
-    twice = apply_exp_F(tau / 2,
-                        apply_exp_F(tau / 2, F, system, cfg, cache),
-                        system, cfg, cache)
+    once = apply_exp_F(tau, F, cache)
+    twice = apply_exp_F(tau / 2, apply_exp_F(tau / 2, F, cache), cache)
     X1, X2 = once.to_dense(), twice.to_dense()
     scale = np.linalg.norm(X1, 2)
     assert np.linalg.norm(X1 - X2, 2) <= 10 * cfg.compress_tol * scale
@@ -131,6 +130,41 @@ def test_flow_cache_keeps_no_mass_factor():
     held = [name for name, value in vars(cache).items()
             if type(value).__name__ == "SuperLU"]
     assert held == []
+
+def counting_splu(monkeypatch):
+    """Route dre's splu through a counter; returns the list of calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(dre, "splu", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n_t", [4, 16])
+def test_solve_factors_twice(monkeypatch, n_t):
+    # one mass factor for W = M^-1 C^T, one Crank-Nicolson step matrix
+    system = small_system()
+    assert system.p > 0
+    calls = counting_splu(monkeypatch)
+    solve_dre(system, zero_factor(system.n), SolverConfig(T=1.0, n_t=n_t))
+    assert len(calls) == 2
+
+
+def test_warm_cache_factors_nothing(monkeypatch):
+    system = small_system()
+    cfg = SolverConfig(T=1.0, n_t=8, substeps=4)
+    cache = FlowCache(system, cfg)
+    F = LowRankFactor(np.random.default_rng(4).standard_normal((system.n, 2)),
+                      np.eye(2))
+    apply_exp_F(cfg.tau / 2, F, cache)
+    calls = counting_splu(monkeypatch)
+    apply_exp_F(cfg.tau / 2, F, cache)
+    strang_step(cfg.tau, F, cache)
+    assert calls == []
+
 
 def snapshot_exp_F(t, F, system, cfg, cache):
     """The affine flow with the factor and the output snapshots propagated
@@ -189,7 +223,7 @@ def test_cached_gramian_matches_snapshot_flow(n, p, r, substeps, t_over_tau,
     F = LowRankFactor(rng.standard_normal((n, r)),
                       np.diag(rng.uniform(0.1, 1.0, r)))
     t = t_over_tau * cfg.tau
-    got = apply_exp_F(t, F, system, cfg, cache)
+    got = apply_exp_F(t, F, cache)
     want = snapshot_exp_F(t, F, system, cfg, cache)
     assert got.rank == want.rank
     X_got, X_want = got.to_dense(), want.to_dense()
@@ -239,7 +273,7 @@ def test_strang_scalar_against_closed_form_subflows():
     x0 = 0.7
     expected = exact_F(tau / 2, exact_G(tau, exact_F(tau / 2, x0)))
     F = LowRankFactor(np.array([[1.0]]), np.array([[x0]]))
-    out = strang_step(tau, F, system, cfg)
+    out = strang_step(tau, F, FlowCache(system, cfg))
     assert out.to_dense()[0, 0] == pytest.approx(expected, rel=1e-6)
 
 
@@ -252,8 +286,8 @@ def test_strang_no_input_equals_affine_flow():
     rng = np.random.default_rng(2)
     F = LowRankFactor(rng.standard_normal((system.n, 3)),
                       np.diag(rng.uniform(0.1, 1.0, 3)))
-    stepped = strang_step(cfg.tau, F, system, cfg, cache)
-    direct = apply_exp_F(cfg.tau, F, system, cfg, cache)
+    stepped = strang_step(cfg.tau, F, cache)
+    direct = apply_exp_F(cfg.tau, F, cache)
     X1, X2 = stepped.to_dense(), direct.to_dense()
     assert np.linalg.norm(X1 - X2, 2) <= 1e-9 * np.linalg.norm(X2, 2)
 
@@ -319,7 +353,7 @@ def test_solve_is_repeated_strang_steps():
     X = compress(zero_factor(system.n), cfg.compress_tol)
     ranks = [X.rank]
     for _ in range(cfg.n_t):
-        X = strang_step(cfg.tau, X, system, cfg, cache)
+        X = strang_step(cfg.tau, X, cache)
         ranks.append(X.rank)
     assert np.array_equal(sol.final.L, X.L)
     assert np.array_equal(sol.final.D, X.D)
@@ -380,15 +414,30 @@ def test_closed_loop_checkpoint_validation():
                              np.ones(system.n), cfg)
 
 
+def test_closed_loop_rejects_solution_of_another_config(monkeypatch):
+    system = small_system(level=1, seed=59)
+    cfg = SolverConfig(T=1.0, n_t=8, substeps=2)
+    sol = solve_dre(system, zero_factor(system.n), cfg,
+                    store_checkpoints=True)
+    calls = counting_splu(monkeypatch)
+    # same step count, so the checkpoint count alone would pass
+    for other in (SolverConfig(T=2.0, n_t=8, substeps=2),
+                  SolverConfig(T=1.0, n_t=16, substeps=2)):
+        with pytest.raises(ValueError, match="solved with T=1.0, n_t=8"):
+            simulate_closed_loop(system, sol, np.ones(system.n), other)
+    assert calls == []
+
+
 def test_solver_rejects_mismatched_factor():
     system = small_system(level=1, seed=60)
     cfg = SolverConfig(T=1.0, n_t=4, substeps=2)
     with pytest.raises(ValueError):
         solve_dre(system, zero_factor(system.n + 1), cfg)
+    cache = FlowCache(system, cfg)
     with pytest.raises(ValueError):
-        apply_exp_F(-1.0, zero_factor(system.n), system, cfg)
+        apply_exp_F(-1.0, zero_factor(system.n), cache)
     with pytest.raises(ValueError):
-        strang_step(0.0, zero_factor(system.n), system, cfg)
+        strang_step(0.0, zero_factor(system.n), cache)
 
 
 def test_non_finite_values_raise(monkeypatch):

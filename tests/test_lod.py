@@ -509,6 +509,23 @@ def test_rank_deficient_constraints_name_the_element(small):
         lod._skeleton_solve(ws, [K], lod.patch_elements(coarse, K, 1))
 
 
+def test_position_map_reset_after_skeleton_solve(monkeypatch, small):
+    coarse, fine = small["coarse"], small["fine"]
+    ws = lod._Workspace(fine, coarse, small["kappa"])
+    K = 7
+    patch = lod.patch_elements(coarse, K, 1)
+    assert lod._skeleton_solve(ws, [K], patch)
+    assert (ws.dof_pos == -1).all()
+
+    def singular(S):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(lod, "_factor_spd", singular)
+    with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
+        lod._skeleton_solve(ws, [K], patch)
+    assert (ws.dof_pos == -1).all()
+
+
 # -- correctors ----------------------------------------------------------
 
 def test_corrector_columns_local_and_in_kernel(small):

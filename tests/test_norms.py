@@ -34,9 +34,8 @@ def rand_factor(n, r, seed):
 
 
 def pair_of(su, Fh, Fc, lift="P"):
-    return norms.make_lifted_pair(Fh, Fc, su["P"] if lift == "P" else lift,
-                                  su["M"], su["S"],
-                                  chol_M=su["chol_M"], chol_S=su["chol_S"])
+    return norms.LiftedPair(Fh, Fc, su["P"] if lift == "P" else lift,
+                            su["M"], su["chol_M"], su["chol_S"])
 
 
 def dense_l2(su, pair):
