@@ -131,6 +131,7 @@ def test_flow_cache_keeps_no_mass_factor():
             if type(value).__name__ == "SuperLU"]
     assert held == []
 
+
 def counting_splu(monkeypatch):
     """Route dre's splu through a counter; returns the list of calls."""
     calls = []
@@ -420,7 +421,7 @@ def test_closed_loop_rejects_solution_of_another_config(monkeypatch):
     sol = solve_dre(system, zero_factor(system.n), cfg,
                     store_checkpoints=True)
     calls = counting_splu(monkeypatch)
-    # same step count, so the checkpoint count alone would pass
+    # T=2.0 keeps the checkpoint count, so only the config check catches it
     for other in (SolverConfig(T=2.0, n_t=8, substeps=2),
                   SolverConfig(T=1.0, n_t=16, substeps=2)):
         with pytest.raises(ValueError, match="solved with T=1.0, n_t=8"):
