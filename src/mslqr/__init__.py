@@ -21,7 +21,6 @@ from .lod import (LodBasis, build_lod_basis, clement_interpolation,
 from .lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
 from .mesh import (Domain, TriMesh, build_base_mesh, l_shape, prolongation,
                    refine_uniform, u_shape, unit_square)
-from .norms import (LiftedPair, SparseCholesky, l2_operator_error,
-                    v_operator_error)
+from .norms import SparseCholesky, l2_operator_error, v_operator_error
 
 __version__ = "0.1.0"

@@ -72,20 +72,18 @@ class CoefficientField:
             out[band] = self.stripe_value
         return out
 
-    def to_grid(self, epsilon: float, extent=(1.0, 1.0)) -> "CoefficientField":
+    def to_grid(self, epsilon: float) -> "CoefficientField":
         """Rasterize onto a square grid by sampling cell centers."""
-        nx = int(round(extent[0] / epsilon))
-        ny = int(round(extent[1] / epsilon))
-        xs = (np.arange(nx) + 0.5) * epsilon
-        ys = (np.arange(ny) + 0.5) * epsilon
-        X, Y = np.meshgrid(xs, ys)
+        n = int(round(1.0 / epsilon))
+        xs = (np.arange(n) + 0.5) * epsilon
+        X, Y = np.meshgrid(xs, xs)
         vals = self.values_at(np.column_stack([X.ravel(), Y.ravel()]))
         return CoefficientField("grid", epsilon=epsilon,
-                                values=vals.reshape(ny, nx))
+                                values=vals.reshape(n, n))
 
 
-def kappa_random_grid(epsilon: float, lo: float, hi: float, seed: int,
-                      extent=(1.0, 1.0)) -> CoefficientField:
+def kappa_random_grid(epsilon: float, lo: float, hi: float,
+                      seed: int) -> CoefficientField:
     """I.i.d. uniform values on [lo, hi] per grid cell, seeded PCG64 stream.
 
     Cells are drawn row-major (y outer, x inner) so a given seed yields the
@@ -101,12 +99,11 @@ def kappa_random_grid(epsilon: float, lo: float, hi: float, seed: int,
         raise ValueError("lower coefficient bound must be positive")
     if hi < lo:
         raise ValueError("upper bound must not be below the lower bound")
-    nx = int(round(extent[0] / epsilon))
-    ny = int(round(extent[1] / epsilon))
-    if abs(nx * epsilon - extent[0]) > 1e-12 or abs(ny * epsilon - extent[1]) > 1e-12:
-        raise ValueError("epsilon must divide the domain extents")
+    n = int(round(1.0 / epsilon))
+    if abs(n * epsilon - 1.0) > 1e-12:
+        raise ValueError("epsilon must divide the unit box")
     rng = np.random.Generator(np.random.PCG64(seed))
-    values = rng.uniform(lo, hi, size=(ny, nx))
+    values = rng.uniform(lo, hi, size=(n, n))
     return CoefficientField("grid", epsilon=epsilon, values=values)
 
 
@@ -125,15 +122,14 @@ def kappa_constant(value: float) -> CoefficientField:
     return CoefficientField("grid", epsilon=1.0, values=[[value]])
 
 
-def dump_kappa(kappa: CoefficientField, path, epsilon=None) -> None:
+def dump_kappa(kappa: CoefficientField, path) -> None:
     """Plain-text grid dump: first line epsilon, then row-major cell values.
 
-    Non-grid fields are rasterized first (default epsilon: half the stripe
-    width, which resolves dyadic stripe edges exactly).
+    Non-grid fields are rasterized first at half the stripe width, which
+    resolves dyadic stripe edges exactly.
     """
     if kappa.kind != "grid":
-        eps = epsilon if epsilon is not None else kappa.width / 2
-        kappa = kappa.to_grid(eps)
+        kappa = kappa.to_grid(kappa.width / 2)
     with open(path, "w") as fh:
         fh.write(f"{kappa.epsilon!r}\n")
         for row in kappa.values:

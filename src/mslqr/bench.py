@@ -28,8 +28,7 @@ from .dre import SolverConfig, solve_dre
 from .lod import build_lod_basis, default_patch_radius
 from .lowrank import zero_factor
 from .mesh import build_base_mesh, prolongation, refine_uniform
-from .norms import (LiftedPair, SparseCholesky, l2_operator_error,
-                    v_operator_error)
+from .norms import SparseCholesky, l2_operator_error, v_operator_error
 from .runtime import single_thread_blas
 
 CSV_COLUMNS = ["H", "n_coarse", "err_L2_fem", "err_L2_lod", "err_V_fem",
@@ -273,28 +272,27 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
     say = log if log is not None else (lambda msg: None)
 
     kappa = build_kappa(cfg)       # a bad [kappa] fails before any mesh
-    domain = mesh_mod.DOMAINS[cfg.domain_kind]()
-    chain = [build_base_mesh(domain)]
-    for _ in range(cfg.j_ref):
-        chain.append(refine_uniform(chain[-1]))
-    fine = chain[cfg.j_ref]
-    system = build_system(fine, kappa, cfg.domain_kind)
-    say(f"reference level {cfg.j_ref}: n = {system.n}")
+    with open(cfg.output, "w") as out:     # and so does a bad output path
+        domain = mesh_mod.DOMAINS[cfg.domain_kind]()
+        chain = [build_base_mesh(domain)]
+        for _ in range(cfg.j_ref):
+            chain.append(refine_uniform(chain[-1]))
+        fine = chain[cfg.j_ref]
+        system = build_system(fine, kappa, cfg.domain_kind)
+        say(f"reference level {cfg.j_ref}: n = {system.n}")
 
-    t0 = time.perf_counter()
-    ref = solve_dre(system, zero_factor(system.n), cfg.solver)
-    time_reference = time.perf_counter() - t0
-    say(f"reference solve: rank {ref.final.rank}, {time_reference:.1f}s")
-    _rank_sanity(ref.final.rank, "reference")
+        ref = solve_dre(system, zero_factor(system.n), cfg.solver)
+        time_reference = ref.timings["total"]
+        say(f"reference solve: rank {ref.final.rank}, {time_reference:.1f}s")
+        _rank_sanity(ref.final.rank, "reference")
 
-    chol_M = SparseCholesky(system.M)
-    chol_S = SparseCholesky(system.S)
+        chol_M = SparseCholesky(system.M)
+        chol_S = SparseCholesky(system.S)
 
-    k_levels = [cfg.k if cfg.k is not None else default_patch_radius(chain[j])
-                for j in range(cfg.j_min, cfg.j_max + 1)]
-    levels = []
-    path = cfg.output
-    with open(path, "w") as out:
+        k_levels = [cfg.k if cfg.k is not None
+                    else default_patch_radius(chain[j])
+                    for j in range(cfg.j_min, cfg.j_max + 1)]
+        levels = []
         for line in _metadata_lines(cfg, system.n, k_levels):
             out.write(line + "\n")
         out.write(",".join(CSV_COLUMNS) + "\n")
@@ -302,33 +300,29 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
             coarse = chain[j]
             P = prolongation(coarse, fine)
             coarse_sys = restrict_system(system, P)
-
-            t0 = time.perf_counter()
             fem = solve_dre(coarse_sys, zero_factor(coarse_sys.n), cfg.solver)
-            time_fem = time.perf_counter() - t0
 
             k_j = k_levels[j - cfg.j_min]
             t0 = time.perf_counter()
             basis = build_lod_basis(fine, coarse, kappa, k_j, system)
             time_setup = time.perf_counter() - t0
-            t0 = time.perf_counter()
             lod_sol = solve_dre(basis.system(), zero_factor(basis.n_coarse),
                                 cfg.solver)
-            time_lod = time.perf_counter() - t0
             _rank_sanity(lod_sol.final.rank, f"level-{j} multiscale")
 
-            fem_pair = LiftedPair(ref.final, fem.final, P, system.M,
-                                  chol_M, chol_S)
-            lod_pair = LiftedPair(ref.final, lod_sol.final, basis.Rh,
-                                  system.M, chol_M, chol_S)
+            X_h, Rh = ref.final, basis.Rh
             res = LevelResult(
                 H=coarse.pitch, n_coarse=coarse_sys.n,
-                err_L2_fem=l2_operator_error(fem_pair),
-                err_L2_lod=l2_operator_error(lod_pair),
-                err_V_fem=v_operator_error(fem_pair),
-                err_V_lod=v_operator_error(lod_pair),
-                time_lod_setup=time_setup, time_solve_fem=time_fem,
-                time_solve_lod=time_lod, rank_final=lod_sol.final.rank)
+                err_L2_fem=l2_operator_error(X_h, fem.final, P, chol_M),
+                err_L2_lod=l2_operator_error(X_h, lod_sol.final, Rh, chol_M),
+                err_V_fem=v_operator_error(X_h, fem.final, P, system.M,
+                                           chol_S),
+                err_V_lod=v_operator_error(X_h, lod_sol.final, Rh, system.M,
+                                           chol_S),
+                time_lod_setup=time_setup,
+                time_solve_fem=fem.timings["total"],
+                time_solve_lod=lod_sol.timings["total"],
+                rank_final=lod_sol.final.rank)
             levels.append(res)
             say(f"level {j}: H={res.H:g} n={res.n_coarse} "
                 f"L2 fem/lod = {res.err_L2_fem:.3e}/{res.err_L2_lod:.3e} "

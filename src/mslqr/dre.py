@@ -223,28 +223,28 @@ class ClosedLoopResult:
     cost: float
 
 
-def simulate_closed_loop(system: LqrSystem, solution, x0: np.ndarray,
-                         cfg: SolverConfig) -> ClosedLoopResult:
+def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
+                         x0: np.ndarray, cfg: SolverConfig
+                         ) -> ClosedLoopResult:
     """Simulate M x' = -S x + B u with the stored feedback law.
 
     The input is held piecewise constant per step using the Riccati factor
-    at the reflected time, u_j = -R^-1 B^T X(T - t_j) M x_j; passing
-    ``solution=None`` runs the uncontrolled system.  The realized cost
-    integrates <Q y, y> + <R u, u> by the trapezoidal rule (the input held
-    constant on the final interval).
+    at the reflected time, u_j = -R^-1 B^T X(T - t_j) M x_j, read off the
+    checkpoints of ``solution`` (a `solve_dre` result with
+    ``store_checkpoints=True``); passing ``solution=None`` runs the
+    uncontrolled system.  The realized cost integrates <Q y, y> + <R u, u>
+    by the trapezoidal rule (the input held constant on the final
+    interval).
     """
     if solution is None:
         cps = None
     else:
-        if isinstance(solution, DreSolution):
-            solved = solution.config
-            if (solved.T, solved.n_t) != (cfg.T, cfg.n_t):
-                raise ValueError(f"solution was solved with T={solved.T!r}, "
-                                 f"n_t={solved.n_t}, not T={cfg.T!r}, "
-                                 f"n_t={cfg.n_t}")
-            cps = solution.checkpoints
-        else:
-            cps = solution
+        solved = solution.config
+        if (solved.T, solved.n_t) != (cfg.T, cfg.n_t):
+            raise ValueError(f"solution was solved with T={solved.T!r}, "
+                             f"n_t={solved.n_t}, not T={cfg.T!r}, "
+                             f"n_t={cfg.n_t}")
+        cps = solution.checkpoints
         if cps is None:
             raise ValueError("closed-loop simulation needs stored checkpoints")
         if len(cps) != cfg.n_t + 1:

@@ -555,6 +555,14 @@ class LodBasis:
         return self.ms
 
 
+def _check_system(fine: TriMesh, system: LqrSystem) -> None:
+    """Refuse a fine system of another size than the fine mesh, before any
+    local problem is solved."""
+    if system.n != fine.n_free:
+        raise ValueError(f"the fine system has {system.n} unknowns, but the "
+                         f"fine mesh has {fine.n_free} free nodes")
+
+
 def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
                     k: int, system: LqrSystem) -> LodBasis:
     """Assemble the corrected basis Rh = prolongation - sum of correctors
@@ -567,6 +575,7 @@ def build_lod_basis(fine: TriMesh, coarse: TriMesh, kappa: CoefficientField,
     """
     if k < 1:
         raise ValueError("corrector patches need at least one layer")
+    _check_system(fine, system)
     with single_thread_blas():
         return _build_lod_basis(fine, coarse, kappa, k, system)
 
@@ -602,6 +611,7 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     """Unlocalized construction: one constrained solve over the whole fine
     space with every coarse constraint row.  Reference for testing the
     localized assembly at saturation."""
+    _check_system(fine, system)
     ws = _Workspace(fine, coarse, kappa)
     S = system.S.tocsr()
     Q = _constrained_solve(_factor_spd(S), ws.I_free,

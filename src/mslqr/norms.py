@@ -4,12 +4,12 @@ The L2 operator norm of a symmetric matrix difference Delta is the spectral
 norm of L_M^T Delta L_M with M = L_M L_M^T; the energy-equivalent norm is
 the largest singular value of L_S^T Delta M L_S^-T with S = L_S L_S^T.
 Both are evaluated without forming any n x n matrix: the factors are
-reduced by thin QR and the norm is read off a small core matrix.
+reduced by thin QR and the norm is read off a small core matrix.  The
+caller builds the Cholesky factors once and shares them across every
+comparison on one fine discretization.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -55,63 +55,50 @@ class SparseCholesky:
         return spsolve_triangular(self.L, X[self.perm], lower=True)
 
 
-@dataclass
-class LiftedPair:
-    """A fine solution factor and a lifted coarse/multiscale one.
+def _difference_blocks(fine: LowRankFactor, coarse: LowRankFactor,
+                       lift: sp.spmatrix):
+    """Column blocks [L_h, lift L_c] and the signed core blockdiag(D_h, -D_c).
 
-    ``lift`` maps coarse coefficients into the fine space (prolongation for
-    plain coarse FEM, the corrected basis for the multiscale method); None
-    means the identity.  ``chol_M``/``chol_S`` are Cholesky factorizations
-    of the fine mass and stiffness matrices, built once by the caller and
-    shared across the pairs of one fine discretization.
+    ``lift`` maps coarse coefficients into the fine space: the prolongation
+    for plain coarse FEM, the corrected basis for the multiscale method.
     """
-
-    fine: LowRankFactor
-    coarse: LowRankFactor
-    lift: sp.spmatrix | None
-    M: sp.spmatrix
-    chol_M: SparseCholesky
-    chol_S: SparseCholesky
-
-    def lifted_coarse_columns(self) -> np.ndarray:
-        if self.lift is None:
-            return self.coarse.L
-        return self.lift @ self.coarse.L
-
-
-def _difference_blocks(pair: LiftedPair):
-    """Column blocks [L_h, lift L_c] and the signed core blockdiag(D_h, -D_c)."""
     blocks, cores = [], []
-    if pair.fine.rank:
-        blocks.append(pair.fine.L)
-        cores.append(pair.fine.D)
-    if pair.coarse.rank:
-        blocks.append(pair.lifted_coarse_columns())
-        cores.append(-pair.coarse.D)
+    if fine.rank:
+        blocks.append(fine.L)
+        cores.append(fine.D)
+    if coarse.rank:
+        blocks.append(lift @ coarse.L)
+        cores.append(-coarse.D)
     if not blocks:
         return None, None
     return np.hstack(blocks), sla.block_diag(*cores)
 
 
-def l2_operator_error(pair: LiftedPair) -> float:
-    """Spectral norm of L_M^T (X_h - lift X_c lift^T) L_M."""
-    V, D = _difference_blocks(pair)
+def l2_operator_error(fine: LowRankFactor, coarse: LowRankFactor,
+                      lift: sp.spmatrix, chol_M: SparseCholesky) -> float:
+    """Spectral norm of L_M^T (X_h - lift X_c lift^T) L_M, with chol_M the
+    Cholesky factor of the fine mass matrix."""
+    V, D = _difference_blocks(fine, coarse, lift)
     if V is None:
         return 0.0
-    Vw = pair.chol_M.factor_tmul(V)
+    Vw = chol_M.factor_tmul(V)
     R, _ = _thin_qr(Vw)
     core = R @ D @ R.T
     lam = np.linalg.eigvalsh(0.5 * (core + core.T))
     return float(np.abs(lam).max())
 
 
-def v_operator_error(pair: LiftedPair) -> float:
-    """Largest singular value of L_S^T (X_h - lift X_c lift^T) M L_S^-T."""
-    V, D = _difference_blocks(pair)
+def v_operator_error(fine: LowRankFactor, coarse: LowRankFactor,
+                     lift: sp.spmatrix, M: sp.spmatrix,
+                     chol_S: SparseCholesky) -> float:
+    """Largest singular value of L_S^T (X_h - lift X_c lift^T) M L_S^-T,
+    with M the fine mass matrix and chol_S the Cholesky factor of the fine
+    stiffness matrix."""
+    V, D = _difference_blocks(fine, coarse, lift)
     if V is None:
         return 0.0
-    G1 = pair.chol_S.factor_tmul(V)
-    G2 = pair.chol_S.factor_solve(pair.M @ V)
+    G1 = chol_S.factor_tmul(V)
+    G2 = chol_S.factor_solve(M @ V)
     R1, _ = _thin_qr(G1)
     R2, _ = _thin_qr(G2)
     core = R1 @ D @ R2.T

@@ -171,16 +171,16 @@ def test_criterion_4_lowrank_oracles():
                         np.diag(rng.uniform(0.2, 1.0, 4)))
     F_c = LowRankFactor(rng.standard_normal((coarse.n_free, 3)),
                         np.diag(rng.uniform(0.2, 1.0, 3)))
-    pair = norms.LiftedPair(F_h, F_c, P, M, norms.SparseCholesky(M),
-                            norms.SparseCholesky(S))
     Delta = F_h.to_dense() - (P @ F_c.L) @ F_c.D @ (P @ F_c.L).T
     L_M = np.linalg.cholesky(M.toarray())
     l2_dense = np.abs(np.linalg.eigvalsh(L_M.T @ Delta @ L_M)).max()
     L_S = np.linalg.cholesky(S.toarray())
     core = L_S.T @ Delta @ M.toarray() @ np.linalg.inv(L_S.T)
     v_dense = np.linalg.svd(core, compute_uv=False).max()
-    rel_l2 = abs(norms.l2_operator_error(pair) - l2_dense) / l2_dense
-    rel_v = abs(norms.v_operator_error(pair) - v_dense) / v_dense
+    l2 = norms.l2_operator_error(F_h, F_c, P, norms.SparseCholesky(M))
+    v = norms.v_operator_error(F_h, F_c, P, M, norms.SparseCholesky(S))
+    rel_l2 = abs(l2 - l2_dense) / l2_dense
+    rel_v = abs(v - v_dense) / v_dense
     assert rel_l2 <= 1e-10
     assert rel_v <= 1e-10
 

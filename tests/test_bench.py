@@ -1,3 +1,8 @@
+import json
+import re
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,8 @@ from mslqr import mesh as mm
 from mslqr import norms
 from mslqr.cli import main
 from mslqr.dre import SolverConfig
+
+EXPECTED = Path(__file__).parents[1] / "perfbench" / "expected.json"
 
 
 def tiny_config(tmp_path, name="tiny.csv", **kw):
@@ -145,6 +152,39 @@ def test_norm_factors_built_once_per_study(tmp_path, monkeypatch):
     rec = bench.run_experiment(tiny_config(tmp_path))
     assert len(rec.levels) == 2
     assert len(calls) == 2
+
+
+def test_bad_output_path_fails_before_any_mesh(tmp_path, monkeypatch):
+    refined = []
+    monkeypatch.setattr(bench, "refine_uniform", refined.append)
+    cfg = tiny_config(tmp_path, output=str(tmp_path / "missing" / "out.csv"))
+    with pytest.raises(OSError, match=re.escape(cfg.output)):
+        bench.run_experiment(cfg)
+    assert refined == []
+
+
+def test_desk_grid_numbers_match_the_benchmark_record(tmp_path):
+    # the benchmark's desk-grid shape on seed 1009, against its record
+    with open(EXPECTED) as fh:
+        want = json.load(fh)["desk-grid"]["1009"]
+    base = replace(bench.preset_config("grid"), seed=1009)
+    cfg = replace(base, j_max=1, solver=replace(base.solver, n_t=16),
+                  output=str(tmp_path / "grid.csv"))
+    rec = bench.run_experiment(cfg)
+    got = {"n_ref": rec.n_ref, "rank_reference": rec.rank_reference}
+    for j, lvl in enumerate(rec.levels, start=cfg.j_min):
+        for key in ("err_L2_fem", "err_L2_lod", "err_V_fem", "err_V_lod",
+                    "n_coarse", "rank_final"):
+            got[f"level{j}.{key}"] = getattr(lvl, key)
+    for name, orders in rec.orders.items():
+        for i, v in enumerate(orders):
+            got[f"{name}.{i}"] = v
+    assert got.keys() == want.keys()
+    for key, v in want.items():
+        if isinstance(v, int):
+            assert got[key] == v, key
+        else:
+            assert got[key] == pytest.approx(v, rel=1e-10, abs=0), key
 
 
 def test_csv_deterministic_outside_timings(tmp_path):

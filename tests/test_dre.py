@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from mslqr import assembly as asm
 from mslqr import dre
 from mslqr import mesh as mm
-from mslqr.dre import (FlowCache, SolverConfig, apply_exp_F, simulate_closed_loop,
-                       solve_dre, strang_step)
+from mslqr.dre import (DreSolution, FlowCache, SolverConfig, apply_exp_F,
+                       simulate_closed_loop, solve_dre, strang_step)
 from mslqr.lowrank import LowRankFactor, compress, zero_factor
 
 
@@ -376,8 +376,9 @@ def test_closed_loop_zero_feedback_is_pure_decay():
     system = small_system(level=1, seed=56)
     cfg = SolverConfig(T=1.0, n_t=32, substeps=2)
     zeros = [zero_factor(system.n)] * (cfg.n_t + 1)
+    sol = DreSolution(zeros[-1], zeros, [0] * (cfg.n_t + 1), {}, cfg)
     x0 = np.ones(system.n)
-    res = simulate_closed_loop(system, zeros, x0, cfg)
+    res = simulate_closed_loop(system, sol, x0, cfg)
     assert np.all(res.inputs == 0.0)
     energy = [x @ (system.M @ x) for x in res.states.T]
     assert all(e2 <= e1 + 1e-14 for e1, e2 in zip(energy, energy[1:]))
@@ -410,9 +411,10 @@ def test_closed_loop_checkpoint_validation():
     sol = solve_dre(system, zero_factor(system.n), cfg)   # no checkpoints
     with pytest.raises(ValueError):
         simulate_closed_loop(system, sol, np.ones(system.n), cfg)
+    zeros = [zero_factor(system.n)] * 3
+    short = DreSolution(zeros[-1], zeros, [0] * 3, {}, cfg)
     with pytest.raises(ValueError):
-        simulate_closed_loop(system, [zero_factor(system.n)] * 3,
-                             np.ones(system.n), cfg)
+        simulate_closed_loop(system, short, np.ones(system.n), cfg)
 
 
 def test_closed_loop_rejects_solution_of_another_config(monkeypatch):

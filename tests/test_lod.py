@@ -756,6 +756,22 @@ def test_patch_and_radius_validation(small):
         lod.corrector_decay_profile(fine, coarse, small["kappa"], 0, 1)
 
 
+def test_system_of_another_mesh_is_refused_before_any_work(monkeypatch,
+                                                          small):
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    other = make_system(mesh_chain(2)[2], kappa)
+
+    def no_workspace(*args):
+        raise AssertionError("workspace built for a mismatched system")
+
+    monkeypatch.setattr(lod, "_Workspace", no_workspace)
+    msg = f"{other.n} unknowns, but the fine mesh has {fine.n_free} free"
+    with pytest.raises(ValueError, match=msg):
+        lod.build_lod_basis(fine, coarse, kappa, 1, other)
+    with pytest.raises(ValueError, match=msg):
+        lod.global_corrector_basis(fine, coarse, kappa, other)
+
+
 def test_default_patch_radius():
     chain = mesh_chain(3)
     assert lod.default_patch_radius(chain[0]) == 1

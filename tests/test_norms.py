@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mslqr import assembly as asm
 from mslqr import mesh as mm
@@ -33,25 +34,38 @@ def rand_factor(n, r, seed):
                          np.diag(rng.uniform(0.2, 1.0, r)))
 
 
-def pair_of(su, Fh, Fc, lift="P"):
-    return norms.LiftedPair(Fh, Fc, su["P"] if lift == "P" else lift,
-                            su["M"], su["chol_M"], su["chol_S"])
+def lift_of(su, lift):
+    """The prolongation for "P", the fine-space identity for "I"."""
+    if lift == "P":
+        return su["P"]
+    return sp.identity(su["fine"].n_free)
 
 
-def dense_l2(su, pair):
-    X = pair.fine.to_dense()
-    if pair.coarse.rank:
-        lc = pair.lifted_coarse_columns()
-        X = X - lc @ pair.coarse.D @ lc.T
+def l2(su, Fh, Fc, lift="P"):
+    return norms.l2_operator_error(Fh, Fc, lift_of(su, lift), su["chol_M"])
+
+
+def v(su, Fh, Fc, lift="P"):
+    return norms.v_operator_error(Fh, Fc, lift_of(su, lift), su["M"],
+                                  su["chol_S"])
+
+
+def difference(su, Fh, Fc):
+    X = Fh.to_dense()
+    if Fc.rank:
+        lc = su["P"] @ Fc.L
+        X = X - lc @ Fc.D @ lc.T
+    return X
+
+
+def dense_l2(su, Fh, Fc):
+    X = difference(su, Fh, Fc)
     L = np.linalg.cholesky(su["M"].toarray())
     return np.abs(np.linalg.eigvalsh(L.T @ X @ L)).max()
 
 
-def dense_v(su, pair):
-    X = pair.fine.to_dense()
-    if pair.coarse.rank:
-        lc = pair.lifted_coarse_columns()
-        X = X - lc @ pair.coarse.D @ lc.T
+def dense_v(su, Fh, Fc):
+    X = difference(su, Fh, Fc)
     L = np.linalg.cholesky(su["S"].toarray())
     core = L.T @ X @ su["M"].toarray() @ np.linalg.inv(L.T)
     return np.linalg.svd(core, compute_uv=False).max()
@@ -70,9 +84,9 @@ def test_sparse_cholesky_factorizes(setup):
 
 def test_thin_qr_r_matches_numpy_up_to_row_signs(setup):
     # the three tall inputs the norms reduce, plus a wide one
-    pair = pair_of(setup, rand_factor(setup["fine"].n_free, 4, seed=14),
-                   rand_factor(setup["coarse"].n_free, 3, seed=15))
-    V, _ = norms._difference_blocks(pair)
+    V, _ = norms._difference_blocks(
+        rand_factor(setup["fine"].n_free, 4, seed=14),
+        rand_factor(setup["coarse"].n_free, 3, seed=15), setup["P"])
     wide = np.random.default_rng(16).standard_normal((3, 6))
     for A in (setup["chol_M"].factor_tmul(V), setup["chol_S"].factor_tmul(V),
               setup["chol_S"].factor_solve(setup["M"] @ V), wide):
@@ -87,57 +101,50 @@ def test_thin_qr_r_matches_numpy_up_to_row_signs(setup):
 def test_identical_factors_give_zero(setup):
     n = setup["fine"].n_free
     F = rand_factor(n, 4, seed=1)
-    pair = pair_of(setup, F, F, lift=None)
-    assert norms.l2_operator_error(pair) <= 1e-12 * np.abs(F.D).max()
-    assert norms.v_operator_error(pair) <= 1e-10 * np.abs(F.D).max()
+    assert l2(setup, F, F, lift="I") <= 1e-12 * np.abs(F.D).max()
+    assert v(setup, F, F, lift="I") <= 1e-10 * np.abs(F.D).max()
 
 
 def test_zero_coarse_reduces_to_single_term(setup):
     n = setup["fine"].n_free
     F = rand_factor(n, 4, seed=2)
-    pair = pair_of(setup, F, zero_factor(setup["coarse"].n_free))
-    assert norms.l2_operator_error(pair) == pytest.approx(dense_l2(setup, pair),
-                                                          rel=1e-11)
+    Z = zero_factor(setup["coarse"].n_free)
+    assert l2(setup, F, Z) == pytest.approx(dense_l2(setup, F, Z), rel=1e-11)
 
 
 def test_l2_matches_dense_oracle(setup):
     F_h = rand_factor(setup["fine"].n_free, 4, seed=3)
     F_c = rand_factor(setup["coarse"].n_free, 3, seed=4)
-    pair = pair_of(setup, F_h, F_c)
-    assert norms.l2_operator_error(pair) == pytest.approx(dense_l2(setup, pair),
-                                                          rel=1e-11)
+    assert l2(setup, F_h, F_c) == pytest.approx(dense_l2(setup, F_h, F_c),
+                                                rel=1e-11)
 
 
 def test_v_matches_dense_oracle(setup):
     F_h = rand_factor(setup["fine"].n_free, 4, seed=5)
     F_c = rand_factor(setup["coarse"].n_free, 3, seed=6)
-    pair = pair_of(setup, F_h, F_c)
-    assert norms.v_operator_error(pair) == pytest.approx(dense_v(setup, pair),
-                                                         rel=1e-10)
+    assert v(setup, F_h, F_c) == pytest.approx(dense_v(setup, F_h, F_c),
+                                               rel=1e-10)
 
 
 def test_norm_symmetric_under_joint_negation(setup):
     F_h = rand_factor(setup["fine"].n_free, 3, seed=7)
     F_c = rand_factor(setup["coarse"].n_free, 3, seed=8)
-    pair = pair_of(setup, F_h, F_c)
-    neg = pair_of(setup,
-                  LowRankFactor(F_h.L, -F_h.D),
-                  LowRankFactor(F_c.L, -F_c.D))
-    assert norms.l2_operator_error(pair) == norms.l2_operator_error(neg)
-    assert norms.v_operator_error(pair) == pytest.approx(
-        norms.v_operator_error(neg), rel=1e-13)
+    neg_h = LowRankFactor(F_h.L, -F_h.D)
+    neg_c = LowRankFactor(F_c.L, -F_c.D)
+    assert l2(setup, F_h, F_c) == l2(setup, neg_h, neg_c)
+    assert v(setup, F_h, F_c) == pytest.approx(v(setup, neg_h, neg_c),
+                                               rel=1e-13)
 
 
 def test_scaling_is_exact(setup):
     F_h = rand_factor(setup["fine"].n_free, 3, seed=9)
     F_c = rand_factor(setup["coarse"].n_free, 2, seed=10)
-    pair = pair_of(setup, F_h, F_c)
     c = 3.5
-    scaled = pair_of(setup,
-                     LowRankFactor(F_h.L, c * F_h.D),
-                     LowRankFactor(F_c.L, c * F_c.D))
-    for err in (norms.l2_operator_error, norms.v_operator_error):
-        assert err(scaled) == pytest.approx(c * err(pair), rel=1e-13)
+    scaled_h = LowRankFactor(F_h.L, c * F_h.D)
+    scaled_c = LowRankFactor(F_c.L, c * F_c.D)
+    for err in (l2, v):
+        assert err(setup, scaled_h, scaled_c) == pytest.approx(
+            c * err(setup, F_h, F_c), rel=1e-13)
 
 
 def test_triangle_inequality(setup):
@@ -145,15 +152,14 @@ def test_triangle_inequality(setup):
     A = rand_factor(n, 3, seed=11)
     B = rand_factor(n, 3, seed=12)
     C = rand_factor(n, 3, seed=13)
-    for err in (norms.l2_operator_error, norms.v_operator_error):
-        ab = err(pair_of(setup, A, B, lift=None))
-        bc = err(pair_of(setup, B, C, lift=None))
-        ac = err(pair_of(setup, A, C, lift=None))
+    for err in (l2, v):
+        ab = err(setup, A, B, lift="I")
+        bc = err(setup, B, C, lift="I")
+        ac = err(setup, A, C, lift="I")
         assert ac <= ab + bc + 1e-12
 
 
 def test_cholesky_rejects_indefinite():
-    import scipy.sparse as sp
     for d in ([1.0, -1.0, 2.0], [1.0, 0.0]):
         with pytest.raises(np.linalg.LinAlgError):
             norms.SparseCholesky(sp.diags(d).tocsr())
