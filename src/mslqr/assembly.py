@@ -296,7 +296,10 @@ class LqrSystem:
 
     M and S are the SPD mass and diffusion stiffness matrices (the state
     evolution matrix is A = -S), B the input matrix, C the output matrix,
-    Q and R the output/input weights.
+    Q and R the output/input weights.  ``mesh`` is the mesh whose free
+    nodes the unknowns are, when the system was assembled on one; the
+    Riccati solver then factors M and the Crank-Nicolson matrix in its
+    nested-dissection order (`order`).
     """
 
     M: sp.csr_matrix
@@ -305,8 +308,12 @@ class LqrSystem:
     C: np.ndarray
     Q: np.ndarray = None
     R: np.ndarray = None
+    mesh: TriMesh | None = None
 
     def __post_init__(self):
+        if self.mesh is not None and self.mesh.n_free != self.n:
+            raise ValueError(f"the system has {self.n} unknowns, but its "
+                             f"mesh has {self.mesh.n_free} free nodes")
         self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
         self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
         if self.Q is None:
@@ -327,6 +334,12 @@ class LqrSystem:
     @property
     def p(self) -> int:
         return self.C.shape[0]
+
+    @property
+    def order(self) -> np.ndarray | None:
+        """The mesh's nested-dissection order of the unknowns (computed on
+        first use), or None for a system built without a mesh."""
+        return None if self.mesh is None else self.mesh.dissection_order
 
 
 def restrict_system(system: LqrSystem, lift) -> LqrSystem:

@@ -156,7 +156,9 @@ def build_system(mesh, kappa, domain_kind: str) -> LqrSystem:
     Unit square: three square control patches, global-integral output.
     L-shape: one control square, output is the mean over [0.15, 0.35]^2.
     Raises ValueError, before the mass and stiffness matrices are
-    assembled, if a control square covers no area of the domain.
+    assembled, if a control square covers no area of the domain.  The
+    system carries the mesh, whose nested-dissection order is computed
+    when the first factorization needs it.
     """
     squares = control_squares(domain_kind)
     B = assemble_input_squares(mesh, squares, all_nodes=True)
@@ -174,7 +176,7 @@ def build_system(mesh, kappa, domain_kind: str) -> LqrSystem:
         area = (obs[2] - obs[0]) * (obs[3] - obs[1])
         C = assemble_input_squares(mesh, [obs]).T / area
     return LqrSystem(M=assemble_mass(mesh),
-                     S=assemble_stiffness(mesh, kappa), B=B, C=C)
+                     S=assemble_stiffness(mesh, kappa), B=B, C=C, mesh=mesh)
 
 
 @dataclass
@@ -286,7 +288,9 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
         say(f"reference solve: rank {ref.final.rank}, {time_reference:.1f}s")
         _rank_sanity(ref.final.rank, "reference")
 
-        chol_M = SparseCholesky(system.M)
+        # the dissection order fills less than minimum degree on the mass
+        # matrix's 7-point pattern, but more on the stiffness's 5 points
+        chol_M = SparseCholesky(system.M, system.order)
         chol_S = SparseCholesky(system.S)
 
         k_levels = [cfg.k if cfg.k is not None

@@ -11,6 +11,13 @@ output Gramian of a flow length does not depend on the factor, so it is
 computed once per run and each affine step only propagates the factor's
 own columns.  The quadratic flow is the closed-form rank-r update from the
 low-rank algebra.
+
+A system assembled on a mesh is factored in the mesh's nested-dissection
+order: M + dt/2 S and M are permuted once and factored with diagonal
+pivots, and the state stays permuted through all substeps of a flow, so it
+is gathered once and scattered once.  At n=3969 the step factor holds
+187,316 nonzeros against 251,152 with SuperLU's default COLAMD order,
+which systems built without a mesh keep.
 """
 
 from __future__ import annotations
@@ -20,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import LqrSystem
@@ -55,14 +63,45 @@ class SolverConfig:
         return self.T / self.n_t
 
 
+def _permuted(A: sp.spmatrix, order: np.ndarray | None) -> sp.csr_matrix:
+    """A[order][:, order], or A itself without an order."""
+    A = A.tocsr()
+    return A if order is None else A[order][:, order]
+
+
+def _factor(A: sp.spmatrix, order: np.ndarray | None):
+    """SuperLU factor of A on the COLAMD order, or, given an order, of
+    A[order][:, order] in that order with diagonal pivots."""
+    try:
+        if order is None:
+            return splu(A.tocsc())
+        return splu(_permuted(A, order).tocsc(), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+    except RuntimeError as exc:  # pragma: no cover - guarded
+        raise np.linalg.LinAlgError(f"singular matrix ({exc})") from exc
+
+
+def _gather(X: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """Rows of X in the factor order."""
+    return np.ascontiguousarray(X if order is None else X[order])
+
+
+def _scatter(X: np.ndarray, order: np.ndarray | None) -> np.ndarray:
+    """Rows of X, given in the factor order, back in the system's order."""
+    if order is None:
+        return X
+    out = np.empty_like(X)
+    out[order] = X
+    return out
+
+
 def crank_nicolson_ops(system: LqrSystem, dt: float):
     """Factorized M + dt/2 S and the matrix M - dt/2 S of one
-    Crank-Nicolson step of M x' = -S x."""
-    try:
-        lu = splu((system.M + (0.5 * dt) * system.S).tocsc())
-    except RuntimeError as exc:  # pragma: no cover - guarded
-        raise np.linalg.LinAlgError("singular implicit-step matrix") from exc
-    return lu, (system.M - (0.5 * dt) * system.S).tocsr()
+    Crank-Nicolson step of M x' = -S x, both in the factor order: the
+    system's `LqrSystem.order`, or its own numbering without a mesh."""
+    order = system.order
+    return (_factor(system.M + (0.5 * dt) * system.S, order),
+            _permuted(system.M - (0.5 * dt) * system.S, order))
 
 
 class FlowCache:
@@ -76,13 +115,15 @@ class FlowCache:
         self.system = system
         self.cfg = cfg
         self.dt_base = (0.5 * cfg.tau) / cfg.substeps
+        self.order = system.order
         self._ops = {}
         self._gramians = {}
         if system.p > 0 and np.any(system.Q):
-            # the mass factor is dropped at once: at n=65025 it holds
-            # about 99 MiB, and no later step uses it
-            self.W = splu(system.M.tocsc()).solve(
-                np.ascontiguousarray(system.C.T))
+            # W = M^-1 C^T in the factor order; the mass factor is dropped
+            # at once: at n=65025 it holds 4.92M nonzeros, and no later
+            # step uses it
+            self.W = _factor(system.M, self.order).solve(
+                _gather(system.C.T, self.order))
         else:
             self.W = None
 
@@ -99,13 +140,20 @@ class FlowCache:
 
     def states(self, t: float, V: np.ndarray):
         """Yield the columns V propagated to each node of the substep grid
-        of [0, t], starting with V itself."""
+        of [0, t], starting with V itself; V and the states are in the
+        factor order."""
         n_steps, dt = self.substeps(t)
         lu, Mminus = self.step_ops(dt)
         yield V
         for _ in range(n_steps):
             V = lu.solve(Mminus @ V)
             yield V
+
+    def propagate(self, t: float, V: np.ndarray) -> np.ndarray:
+        """The columns V propagated over [0, t], in the system's order."""
+        for V in self.states(t, _gather(V, self.order)):
+            pass
+        return _scatter(V, self.order)
 
     def gramian(self, t: float) -> LowRankFactor | None:
         """Output Gramian sum_j w_j Phi_j W Q W^T Phi_j^T of the flow over
@@ -120,7 +168,7 @@ class FlowCache:
             _, dt = self.substeps(t)
             w = np.full(len(snaps), dt)
             w[0] = w[-1] = 0.5 * dt
-            G = LowRankFactor(np.hstack(snaps),
+            G = LowRankFactor(_scatter(np.hstack(snaps), self.order),
                               sla.block_diag(*(wj * self.system.Q for wj in w)))
             self._gramians[key] = compress(G, 0.0)
         return self._gramians[key]
@@ -142,9 +190,7 @@ def apply_exp_F(t: float, F: LowRankFactor, cache: FlowCache
     G = cache.gramian(t)
     blocks_L, blocks_D = [], []
     if F.rank:
-        for V in cache.states(t, F.L):
-            pass
-        blocks_L.append(V)
+        blocks_L.append(cache.propagate(t, F.L))
         blocks_D.append(F.D)
     if G is not None:
         blocks_L.append(G.L)
@@ -251,7 +297,9 @@ def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
             raise ValueError(f"expected {cfg.n_t + 1} checkpoints, "
                              f"got {len(cps)}")
     tau = cfg.tau
+    order = system.order
     lu, Mminus = crank_nicolson_ops(system, tau)
+    B = _gather(system.B, order)
     x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
     inputs = []
@@ -266,7 +314,8 @@ def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
                 v = np.zeros(system.n)
             u = -sla.solve(system.R, system.B.T @ v, assume_a="pos")
         inputs.append(u)
-        x = lu.solve(Mminus @ x + tau * (system.B @ u))
+        x = _scatter(lu.solve(Mminus @ _gather(x, order) + tau * (B @ u)),
+                     order)
         states.append(x.copy())
     states = np.column_stack(states)
     inputs = (np.column_stack(inputs) if inputs

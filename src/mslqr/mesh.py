@@ -117,6 +117,7 @@ class TriMesh:
             self.edge_parents.setflags(write=False)
         self._free = None
         self._vertex_triangles = None
+        self._dissection = None
 
     @property
     def n_vertices(self) -> int:
@@ -143,6 +144,16 @@ class TriMesh:
                 (np.ones(n), (self.triangles.ravel(), np.arange(n) // 3)),
                 shape=(self.n_vertices, self.n_triangles))
         return self._vertex_triangles
+
+    @property
+    def dissection_order(self) -> np.ndarray:
+        """Nested-dissection order of the free nodes (`nested_dissection`),
+        computed on first use: A[order][:, order] is a matrix over the free
+        nodes renumbered for a sparse factorization with little fill."""
+        if self._dissection is None:
+            self._dissection = nested_dissection(self)
+            self._dissection.setflags(write=False)
+        return self._dissection
 
     @property
     def n_free(self) -> int:
@@ -312,3 +323,87 @@ def descendant_triangles(coarse: TriMesh, fine: TriMesh,
     if not ((0 <= elements) & (elements < coarse.n_triangles)).all():
         raise ValueError("coarse element id out of range")
     return (elements[:, None] * n + np.arange(n)).ravel()
+
+
+# parts of at most this many nodes are not cut again
+_DISSECTION_LEAF = 8
+# a base-3 code of this many digits still fits an int64
+_DISSECTION_DEPTH = 39
+
+
+def nested_dissection(mesh: TriMesh) -> np.ndarray:
+    """Nested-dissection order of the free nodes of a mesh (George, SIAM
+    J. Numer. Anal. 1973), as positions into ``free_nodes``.
+
+    Each part is cut at the median of the longer side of its bounding box.
+    The nodes on the upper side that share a mesh edge with the lower side
+    form the separator, which is numbered after both halves; no edge then
+    joins the halves.  Parts of at most 8 nodes keep their node order.
+    """
+    free = mesh.free_nodes
+    pos = np.full(mesh.n_vertices, -1)
+    pos[free] = np.arange(free.size)
+    t = np.sort(pos[mesh.triangles], axis=1)
+    # each edge once, as (lower, upper) position, among free nodes only
+    pairs = np.unique(np.concatenate([t[:, 0] * free.size + t[:, 1],
+                                      t[:, 0] * free.size + t[:, 2],
+                                      t[:, 1] * free.size + t[:, 2]]))
+    edges = np.column_stack(np.divmod(pairs, free.size))
+    edges = edges[edges[:, 0] >= 0]
+    keys, _ = _dissection_keys(mesh.vertices[free], edges)
+    return np.argsort(keys, kind="stable")
+
+
+def _dissection_keys(points: np.ndarray, edges: np.ndarray):
+    """Base-3 codes of the nodes' places in a nested dissection, and the
+    number of digits.
+
+    Digit l (most significant first) is 0 or 1 for the lower or upper half
+    of the cut at level l, and 2 for that cut's separator; a node pads with
+    0 once its part is no longer cut.  Sorting by code puts each separator
+    after both halves of its part.  All parts are cut level by level at
+    once: the open nodes of one part share one code.
+    """
+    n = points.shape[0]
+    # coordinates as ranks, equal coordinates sharing one
+    ranks = [np.unique(c, return_inverse=True)[1] for c in points.T]
+    u, v = np.ascontiguousarray(edges.T)
+    keys = np.zeros(n, dtype=np.int64)
+    is_open = np.ones(n, dtype=bool)
+    nodes = np.arange(n)
+    levels = 0
+    while nodes.size and levels < _DISSECTION_DEPTH:
+        _, part, size = np.unique(keys[nodes], return_inverse=True,
+                                  return_counts=True)
+        extent = []
+        for c in points[nodes].T:
+            lo = np.full(size.size, np.inf)
+            hi = np.full(size.size, -np.inf)
+            np.minimum.at(lo, part, c)
+            np.maximum.at(hi, part, c)
+            extent.append(hi - lo)
+        longer = (extent[1] > extent[0])[part]
+        coord = np.where(longer, ranks[1][nodes], ranks[0][nodes])
+        first = np.concatenate([[0], np.cumsum(size)[:-1]])
+        median = coord[np.argsort(part * n + coord)[first + size // 2]]
+        lower = coord < median[part]
+        n_lower = np.bincount(part, weights=lower, minlength=size.size)
+        cut = ((size > _DISSECTION_LEAF) & (n_lower > 0)
+               & (n_lower < size))[part]
+
+        side = np.zeros(n, dtype=bool)
+        side[nodes] = lower
+        separator = np.zeros(n, dtype=bool)
+        across = side[u] != side[v]
+        separator[np.where(side[u], v, u)[across]] = True
+        digit = np.where(lower, 0, np.where(separator[nodes], 2, 1))
+        digit[~cut] = 0
+
+        keys *= 3
+        keys[nodes] += digit
+        is_open[nodes[~cut | separator[nodes]]] = False
+        nodes = nodes[is_open[nodes]]
+        levels += 1
+        same = is_open[u] & is_open[v] & (keys[u] == keys[v])
+        u, v = u[same], v[same]
+    return keys, levels

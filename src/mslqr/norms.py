@@ -22,17 +22,23 @@ from .lowrank import LowRankFactor, _thin_qr
 class SparseCholesky:
     """Cholesky factorization P A P^T = L L^T of a sparse SPD matrix.
 
-    P is a symmetric minimum-degree ordering (SuperLU's MMD on A^T + A);
+    P is a given symmetric order (`bench` passes the mesh's nested
+    dissection for the mass matrix) or, by default, SuperLU's minimum-degree
+    order on A^T + A, which fills less on the stiffness's 5-point pattern;
     the factor is read off an LU that pivots only on the diagonal.  Any two
     Cholesky-like factors of A differ by an orthogonal transform, so norms
     computed through this factor are independent of the permutation.  A
     singular or indefinite A raises LinAlgError.
     """
 
-    def __init__(self, A: sp.spmatrix):
+    def __init__(self, A: sp.spmatrix, order: np.ndarray | None = None):
+        if order is None:
+            A, spec = sp.csc_matrix(A), "MMD_AT_PLUS_A"
+        else:
+            A, spec = sp.csr_matrix(A)[order][:, order].tocsc(), "NATURAL"
         try:
-            lu = splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                      diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+            lu = splu(A, permc_spec=spec, diag_pivot_thresh=0.0,
+                      options=dict(SymmetricMode=True))
         except RuntimeError as exc:
             raise np.linalg.LinAlgError(
                 f"matrix is not positive definite ({exc})") from exc
@@ -44,6 +50,8 @@ class SparseCholesky:
             raise np.linalg.LinAlgError("matrix is not positive definite")
         # SuperLU factors A[perm][:, perm] with perm the inverse of perm_c
         self.perm = np.argsort(lu.perm_c)
+        if order is not None:
+            self.perm = np.asarray(order)[self.perm]
         self.L = (lu.L @ sp.diags(np.sqrt(d))).tocsr()
 
     def factor_tmul(self, X: np.ndarray) -> np.ndarray:

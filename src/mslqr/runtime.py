@@ -2,8 +2,11 @@
 
 The factor algebra works on tall-skinny matrices where threaded BLAS
 oversubscribes badly on small machines (observed 40x slowdowns from thread
-contention).  Long-running entry points therefore pin BLAS to one thread;
-this also keeps benchmark timings uncontended.
+contention).  Long-running entry points therefore ask for one BLAS
+thread.  The pin acts only when ``threadpoolctl`` can be imported; without
+it ``single_thread_blas`` does nothing and OpenBLAS keeps its default
+thread count, so setting ``OPENBLAS_NUM_THREADS=1`` before Python starts
+is the way to pin it by hand.
 """
 
 from __future__ import annotations

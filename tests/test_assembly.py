@@ -266,6 +266,18 @@ def test_lqr_system_defaults():
     assert (sys_.n, sys_.m, sys_.p) == (9, 3, 1)
     assert np.array_equal(sys_.Q, np.eye(1))
     assert np.array_equal(sys_.R, np.eye(3))
+    assert sys_.order is None
+
+
+def test_lqr_system_refuses_a_mesh_of_another_size():
+    m = unit_square_level(1)
+    k = asm.kappa_constant(1.0)
+    kw = dict(M=asm.assemble_mass(m), S=asm.assemble_stiffness(m, k),
+              B=np.ones((m.n_free, 1)), C=np.ones((1, m.n_free)))
+    assert np.array_equal(asm.LqrSystem(**kw, mesh=m).order,
+                          m.dissection_order)
+    with pytest.raises(ValueError, match="9 unknowns.*49 free nodes"):
+        asm.LqrSystem(**kw, mesh=mm.refine_uniform(m))
 
 
 def clipped_input_squares(mesh, squares):

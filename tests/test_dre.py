@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mslqr import assembly as asm
-from mslqr import dre
+from mslqr import bench, dre, norms
 from mslqr import mesh as mm
 from mslqr.dre import (DreSolution, FlowCache, SolverConfig, apply_exp_F,
                        simulate_closed_loop, solve_dre, strang_step)
@@ -491,3 +491,56 @@ def test_config_validation():
         SolverConfig(compress_tol=-1e-3)
     with pytest.raises(ValueError, match="compress_tol"):
         SolverConfig(compress_tol=1.0)
+
+
+def test_dissection_order_fills_less_than_colamd():
+    mesh = unit_square_level(5)
+    M = asm.assemble_mass(mesh)
+    colamd = dre._factor(M, None)
+    dissection = dre._factor(M, mesh.dissection_order)
+    fill = dissection.L.nnz + dissection.U.nnz
+    assert fill < colamd.L.nnz + colamd.U.nnz
+    assert fill < 251_152
+
+
+def test_dissection_path_matches_colamd_path(monkeypatch):
+    # the level-4 grid matrices, once as a mesh-assembled system (factored
+    # in the mesh's nested-dissection order) and once built by hand (COLAMD)
+    chain = [mm.build_base_mesh(mm.unit_square())]
+    for _ in range(4):
+        chain.append(mm.refine_uniform(chain[-1]))
+    kappa = bench.build_kappa(bench.preset_config("grid"))
+    fast = bench.build_system(chain[4], kappa, "unit_square")
+    slow = asm.LqrSystem(M=fast.M, S=fast.S, B=fast.B, C=fast.C)
+    assert fast.order is not None and slow.order is None
+    specs = []
+
+    def spied(A, **kwargs):
+        specs.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(dre, "splu", spied)
+    cfg = SolverConfig(T=1.0, n_t=16)
+    x0 = np.random.default_rng(7).uniform(0.5, 1.5, fast.n)
+    out = []
+    for system in (fast, slow):
+        sol = solve_dre(system, zero_factor(system.n), cfg,
+                        store_checkpoints=True)
+        out.append((sol.final, simulate_closed_loop(system, sol, x0,
+                                                    cfg).cost))
+    # mass factor, step factor and closed-loop step factor on each path
+    assert specs == ["NATURAL"] * 3 + ["COLAMD"] * 3
+    (F_fast, cost_fast), (F_slow, cost_slow) = out
+    X_fast, X_slow = F_fast.to_dense(), F_slow.to_dense()
+    assert (np.linalg.norm(X_fast - X_slow)
+            <= 1e-12 * np.linalg.norm(X_slow))
+    assert abs(cost_fast - cost_slow) <= 1e-12 * abs(cost_slow)
+
+    P = mm.prolongation(chain[2], chain[4])
+    coarse = solve_dre(asm.restrict_system(fast, P), zero_factor(P.shape[1]),
+                       cfg).final
+    err_nd = norms.l2_operator_error(
+        F_fast, coarse, P, norms.SparseCholesky(fast.M, fast.order))
+    err_mmd = norms.l2_operator_error(
+        F_fast, coarse, P, norms.SparseCholesky(fast.M))
+    assert abs(err_nd - err_mmd) <= 1e-12 * err_mmd

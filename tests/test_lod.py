@@ -6,8 +6,10 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from mslqr import assembly as asm
-from mslqr import lod
+from mslqr import bench, lod
 from mslqr import mesh as mm
+from mslqr.dre import SolverConfig, solve_dre
+from mslqr.lowrank import zero_factor
 
 
 def mesh_chain(j_fine, domain=mm.unit_square):
@@ -788,3 +790,20 @@ def test_weights_carry_over_to_every_basis(small):
         assert np.array_equal(basis.system().Q, [[2.0]])
         assert np.array_equal(basis.system().R, R)
 
+
+
+def test_system_and_basis_compute_no_dissection_order(monkeypatch):
+    # the lod-fine6 path factors nothing in the fine order, so building the
+    # fine system and a basis must not pay for the order
+    def refuse(mesh):
+        raise AssertionError("nested dissection computed")
+
+    monkeypatch.setattr(mm, "nested_dissection", refuse)
+    chain = mesh_chain(4)
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    system = bench.build_system(chain[4], kappa, "unit_square")
+    basis = lod.build_lod_basis(chain[4], chain[2], kappa, 1, system)
+    assert basis.system().order is None
+    # the reference solve is the first to need it
+    with pytest.raises(AssertionError, match="nested dissection"):
+        solve_dre(system, zero_factor(system.n), SolverConfig(n_t=1))

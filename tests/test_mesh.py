@@ -196,3 +196,46 @@ def test_mesh_immutable():
     m = mm.build_base_mesh(mm.unit_square())
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 2.0
+
+
+def free_edges(m):
+    """Mesh edges between free nodes, as positions into free_nodes."""
+    pos = np.full(m.n_vertices, -1)
+    pos[m.free_nodes] = np.arange(m.n_free)
+    t = pos[m.triangles]
+    e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    return e[(e >= 0).all(axis=1)]
+
+
+@pytest.mark.parametrize("make", [mm.unit_square, mm.l_shape])
+def test_dissection_order_is_a_permutation_of_the_free_nodes(make):
+    m = mm.build_base_mesh(make())
+    for _ in range(6):
+        order = m.dissection_order
+        assert np.array_equal(np.sort(order), np.arange(m.n_free))
+        assert m.dissection_order is order          # computed once
+        m = mm.refine_uniform(m)
+
+
+@pytest.mark.parametrize("make", [mm.unit_square, mm.l_shape])
+def test_dissection_cuts_share_no_edge(make):
+    m = refine_times(mm.build_base_mesh(make()), 4)
+    u, v = free_edges(m).T
+    keys, levels = mm._dissection_keys(m.vertices[m.free_nodes],
+                                       free_edges(m))
+    order = m.dissection_order
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    place = np.empty(m.n_free, dtype=int)
+    place[order] = np.arange(m.n_free)
+    cuts = 0
+    for level in range(levels):
+        # digit at this level, and the code of the part it splits
+        digit = keys // 3 ** (levels - 1 - level) % 3
+        part = keys // 3 ** (levels - level)
+        halves = (digit[u] + digit[v] == 1) & (part[u] == part[v])
+        assert not halves.any(), f"an edge joins the halves at level {level}"
+        for p in np.unique(part[digit == 2]):
+            sep = (part == p) & (digit == 2)
+            assert place[(part == p) & ~sep].max() < place[sep].min()
+            cuts += 1
+    assert cuts > 16

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -72,8 +74,10 @@ def dense_v(su, Fh, Fc):
 
 
 def test_sparse_cholesky_factorizes(setup):
-    for key in ("M", "S"):
-        c = norms.SparseCholesky(setup[key])
+    # minimum degree, and a given order (the mesh's nested dissection)
+    for key, order in product(("M", "S"),
+                              (None, setup["fine"].dissection_order)):
+        c = norms.SparseCholesky(setup[key], order)
         n = setup[key].shape[0]
         X = np.eye(n)
         G = c.factor_tmul(X)            # G^T, rows of the factor transpose
