@@ -299,7 +299,9 @@ class LqrSystem:
     Q and R the output/input weights.  ``mesh`` is the mesh whose free
     nodes the unknowns are, when the system was assembled on one; the
     Riccati solver then factors M and the Crank-Nicolson matrix in its
-    nested-dissection order (`order`).
+    nested-dissection order (`order`), and otherwise lets `factor_spd`
+    order them by minimum degree.  Shapes that do not fit n, m = B's
+    columns and p = C's rows raise ValueError before any factorization.
     """
 
     M: sp.csr_matrix
@@ -322,6 +324,12 @@ class LqrSystem:
             self.R = np.eye(self.m)
         self.Q = np.atleast_2d(np.asarray(self.Q, dtype=float))
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
+        n, m, p = self.n, self.m, self.p
+        for name, want in (("M", (n, n)), ("S", (n, n)), ("B", (n, m)),
+                           ("C", (p, n)), ("Q", (p, p)), ("R", (m, m))):
+            got = tuple(getattr(self, name).shape)
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, expected {want}")
 
     @property
     def n(self) -> int:
@@ -340,6 +348,32 @@ class LqrSystem:
         """The mesh's nested-dissection order of the unknowns (computed on
         first use), or None for a system built without a mesh."""
         return None if self.mesh is None else self.mesh.dissection_order
+
+
+def permuted(A: sp.spmatrix, order: np.ndarray | None) -> sp.csr_matrix:
+    """A[order][:, order], or A itself without an order."""
+    A = A.tocsr()
+    return A if order is None else A[order][:, order]
+
+
+def factor_spd(A: sp.spmatrix, order: np.ndarray | None = None, *, splu):
+    """SuperLU factor of the SPD matrix A, pivoting only on the diagonal.
+
+    Given a symmetric ``order`` (a mesh's nested dissection), the factor is
+    of A[order][:, order] in its own numbering; otherwise SuperLU orders A
+    by minimum degree on A^T + A.  ``splu`` is the caller's binding of
+    `scipy.sparse.linalg.splu`, so each module's factorizations run, and
+    can be traced, under its own name.  A singular A raises LinAlgError.
+    """
+    if order is None:
+        A, spec = A.tocsc(), "MMD_AT_PLUS_A"
+    else:
+        A, spec = permuted(A, order).tocsc(), "NATURAL"
+    try:
+        return splu(A, permc_spec=spec, diag_pivot_thresh=0.0,
+                    options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise np.linalg.LinAlgError(f"singular matrix ({exc})") from exc
 
 
 def restrict_system(system: LqrSystem, lift) -> LqrSystem:

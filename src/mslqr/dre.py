@@ -12,12 +12,16 @@ computed once per run and each affine step only propagates the factor's
 own columns.  The quadratic flow is the closed-form rank-r update from the
 low-rank algebra.
 
-A system assembled on a mesh is factored in the mesh's nested-dissection
-order: M + dt/2 S and M are permuted once and factored with diagonal
-pivots, and the state stays permuted through all substeps of a flow, so it
-is gathered once and scattered once.  At n=3969 the step factor holds
-187,316 nonzeros against 251,152 with SuperLU's default COLAMD order,
-which systems built without a mesh keep.
+M + dt/2 S and M are factored by the one SPD rule, `factor_spd`, with
+diagonal pivots.  A system assembled on a mesh is factored in the mesh's
+nested-dissection order: both matrices are permuted once, and the state
+stays permuted through all substeps of a flow, so it is gathered once and
+scattered once.  At n=3969 the step factor holds 187,316 nonzeros against
+199,788 with minimum degree and 251,152 with SuperLU's default COLAMD.
+Systems built without a mesh (restricted, corrected or by hand) take
+minimum degree, which fills far less than COLAMD once a corrected system
+fills in: 305,538 against 437,762 nonzeros on the level-4 corrected
+Crank-Nicolson matrix (n=961, 135 nonzeros per row).
 """
 
 from __future__ import annotations
@@ -27,10 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .assembly import LqrSystem
+from .assembly import LqrSystem, factor_spd, permuted
 from .lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
 from .runtime import single_thread_blas
 
@@ -63,24 +66,6 @@ class SolverConfig:
         return self.T / self.n_t
 
 
-def _permuted(A: sp.spmatrix, order: np.ndarray | None) -> sp.csr_matrix:
-    """A[order][:, order], or A itself without an order."""
-    A = A.tocsr()
-    return A if order is None else A[order][:, order]
-
-
-def _factor(A: sp.spmatrix, order: np.ndarray | None):
-    """SuperLU factor of A on the COLAMD order, or, given an order, of
-    A[order][:, order] in that order with diagonal pivots."""
-    try:
-        if order is None:
-            return splu(A.tocsc())
-        return splu(_permuted(A, order).tocsc(), permc_spec="NATURAL",
-                    diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
-    except RuntimeError as exc:  # pragma: no cover - guarded
-        raise np.linalg.LinAlgError(f"singular matrix ({exc})") from exc
-
-
 def _gather(X: np.ndarray, order: np.ndarray | None) -> np.ndarray:
     """Rows of X in the factor order."""
     return np.ascontiguousarray(X if order is None else X[order])
@@ -100,8 +85,8 @@ def crank_nicolson_ops(system: LqrSystem, dt: float):
     Crank-Nicolson step of M x' = -S x, both in the factor order: the
     system's `LqrSystem.order`, or its own numbering without a mesh."""
     order = system.order
-    return (_factor(system.M + (0.5 * dt) * system.S, order),
-            _permuted(system.M - (0.5 * dt) * system.S, order))
+    return (factor_spd(system.M + (0.5 * dt) * system.S, order, splu=splu),
+            permuted(system.M - (0.5 * dt) * system.S, order))
 
 
 class FlowCache:
@@ -122,7 +107,7 @@ class FlowCache:
             # W = M^-1 C^T in the factor order; the mass factor is dropped
             # at once: at n=65025 it holds 4.92M nonzeros, and no later
             # step uses it
-            self.W = _factor(system.M, self.order).solve(
+            self.W = factor_spd(system.M, self.order, splu=splu).solve(
                 _gather(system.C.T, self.order))
         else:
             self.W = None
@@ -280,8 +265,15 @@ def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
     ``store_checkpoints=True``); passing ``solution=None`` runs the
     uncontrolled system.  The realized cost integrates <Q y, y> + <R u, u>
     by the trapezoidal rule (the input held constant on the final
-    interval).
+    interval).  An x0 that is not a finite vector of length n raises
+    ValueError before anything is factored.
     """
+    x = np.array(x0, dtype=float)
+    if x.shape != (system.n,):
+        raise ValueError(f"x0 has shape {x.shape}, but the system has "
+                         f"{system.n} unknowns")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     if solution is None:
         cps = None
     else:
@@ -300,7 +292,6 @@ def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
     order = system.order
     lu, Mminus = crank_nicolson_ops(system, tau)
     B = _gather(system.B, order)
-    x = np.asarray(x0, dtype=float).copy()
     states = [x.copy()]
     inputs = []
     for j in range(cfg.n_t):
@@ -318,10 +309,9 @@ def simulate_closed_loop(system: LqrSystem, solution: DreSolution | None,
                      order)
         states.append(x.copy())
     states = np.column_stack(states)
-    inputs = (np.column_stack(inputs) if inputs
-              else np.zeros((system.m, 0)))
+    inputs = np.column_stack(inputs)
     outputs = system.C @ states
-    u_nodes = np.column_stack([inputs, inputs[:, -1]]) if cfg.n_t else inputs
+    u_nodes = np.column_stack([inputs, inputs[:, -1]])
     g = (np.einsum("it,ij,jt->t", outputs, system.Q, outputs)
          + np.einsum("it,ij,jt->t", u_nodes, system.R, u_nodes))
     cost = float(np.trapezoid(g, dx=tau))

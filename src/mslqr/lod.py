@@ -27,7 +27,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (CoefficientField, LqrSystem, _element_stiffness,
-                       assemble_mass, assemble_stiffness, restrict_system)
+                       assemble_mass, assemble_stiffness, factor_spd,
+                       restrict_system)
 from .mesh import TriMesh, descendant_triangles, prolongation
 from .runtime import single_thread_blas
 
@@ -254,9 +255,9 @@ class _Condensation:
         if nI:
             ii = _block(rows, cols, (rows < nI) & (cols < nI), (nI, nI))
             try:  # E_II is symmetric: its CSR transpose is its CSC form
-                self.lu = _factor_spd(_block_diagonal(E[ii[0]], *ii[1:],
-                                                      (nI, nI)).T)
-            except RuntimeError as exc:
+                self.lu = factor_spd(_block_diagonal(E[ii[0]], *ii[1:],
+                                                     (nI, nI)).T, splu=splu)
+            except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
                     f"singular element interior stiffness ({exc})") from exc
             ib_r, ib_c, ib_v = rows[ib[0]], cols[ib[0]] - nI, E[ib[0]].T
@@ -325,13 +326,6 @@ def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
     return A.data[idx[keep]], pos[keep], kept[np.concatenate([[0], ends])]
 
 
-def _factor_spd(S):
-    """Sparse LU of an SPD matrix: symmetric minimum-degree ordering,
-    diagonal pivots.  Raises RuntimeError when S is singular."""
-    return splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True))
-
-
 # Right-hand-side columns per SuperLU solve, for the patch skeletons and
 # the block-diagonal interior factor alike: the condensation's stacked
 # columns [E_IB | Ic^T | r_I] and the recovery's hat slots are solved this
@@ -352,7 +346,7 @@ def _solve_blocks(lu, rhs: np.ndarray) -> np.ndarray:
 def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
     """x of the saddle system [[S, C^T], [C, 0]] [x; lam] = [rhs; 0].
 
-    S is sparse SPD, given by its factorization ``lu`` (`_factor_spd`), and
+    S is sparse SPD, given by its factorization ``lu`` (`factor_spd`), and
     C has few rows, so the constraints are eliminated through their dense
     Schur complement Sigma = C S^-1 C^T: one solve with the right-hand
     sides and C^T together, and a Cholesky solve with Sigma for the
@@ -431,7 +425,7 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
                            shape=(n_s, n_s))
         Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos),
                            shape=(n_c, n_s))
-        lu = _factor_spd(Sc)
+        lu = factor_spd(Sc, splu=splu)
         Yc = _solve_blocks(lu, Ct.T.toarray())
         sigma = sla.cho_factor(Ct @ Yc + D)
         for K, hat_free in hats:
@@ -447,7 +441,7 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             lam = sla.cho_solve(sigma, Ct @ Yr + g)
             out.append(_Skeleton(K, dof_free, Yr - Yc @ lam, hat_free,
                                  patch, c_free, lam))
-    except (RuntimeError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
     finally:
@@ -614,7 +608,7 @@ def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
     _check_system(fine, system)
     ws = _Workspace(fine, coarse, kappa)
     S = system.S.tocsr()
-    Q = _constrained_solve(_factor_spd(S), ws.I_free,
+    Q = _constrained_solve(factor_spd(S, splu=splu), ws.I_free,
                            (S @ ws.P_free).toarray())
     Rh = sp.csr_matrix(ws.P_free - Q)
     return LodBasis(-1, Rh, restrict_system(system, Rh), {"global": True})

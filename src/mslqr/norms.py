@@ -16,6 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu, spsolve_triangular
 
+from .assembly import factor_spd
 from .lowrank import LowRankFactor, _thin_qr
 
 
@@ -25,23 +26,15 @@ class SparseCholesky:
     P is a given symmetric order (`bench` passes the mesh's nested
     dissection for the mass matrix) or, by default, SuperLU's minimum-degree
     order on A^T + A, which fills less on the stiffness's 5-point pattern;
-    the factor is read off an LU that pivots only on the diagonal.  Any two
-    Cholesky-like factors of A differ by an orthogonal transform, so norms
-    computed through this factor are independent of the permutation.  A
-    singular or indefinite A raises LinAlgError.
+    the factor is read off the LU of `factor_spd`, which pivots only on
+    the diagonal.  Any two Cholesky-like factors of A differ by an
+    orthogonal transform, so norms computed through this factor are
+    independent of the permutation.  A singular or indefinite A raises
+    LinAlgError.
     """
 
     def __init__(self, A: sp.spmatrix, order: np.ndarray | None = None):
-        if order is None:
-            A, spec = sp.csc_matrix(A), "MMD_AT_PLUS_A"
-        else:
-            A, spec = sp.csr_matrix(A)[order][:, order].tocsc(), "NATURAL"
-        try:
-            lu = splu(A, permc_spec=spec, diag_pivot_thresh=0.0,
-                      options=dict(SymmetricMode=True))
-        except RuntimeError as exc:
-            raise np.linalg.LinAlgError(
-                f"matrix is not positive definite ({exc})") from exc
+        lu = factor_spd(A, order, splu=splu)
         if not np.array_equal(lu.perm_r, lu.perm_c):
             raise np.linalg.LinAlgError(
                 "unexpected pivoting while factorizing an SPD matrix")

@@ -1,7 +1,9 @@
 import io
+import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mslqr import assembly as asm
 from mslqr import mesh as mm
@@ -278,6 +280,21 @@ def test_lqr_system_refuses_a_mesh_of_another_size():
                           m.dissection_order)
     with pytest.raises(ValueError, match="9 unknowns.*49 free nodes"):
         asm.LqrSystem(**kw, mesh=mm.refine_uniform(m))
+
+
+@pytest.mark.parametrize("field, value, got, want", [
+    ("B", np.ones((2, 1)), (2, 1), (3, 1)),
+    ("C", np.ones((1, 2)), (1, 2), (1, 3)),
+    ("Q", np.eye(2), (2, 2), (1, 1)),
+    ("R", np.eye(2), (2, 2), (1, 1)),
+    ("S", sp.identity(2, format="csr"), (2, 2), (3, 3))])
+def test_lqr_system_refuses_inconsistent_shapes(field, value, got, want):
+    kw = dict(M=sp.identity(3, format="csr"), S=sp.identity(3, format="csr"),
+              B=np.ones((3, 1)), C=np.ones((1, 3)))
+    kw[field] = value
+    with pytest.raises(ValueError, match=re.escape(
+            f"{field} has shape {got}, expected {want}")):
+        asm.LqrSystem(**kw)
 
 
 def clipped_input_squares(mesh, squares):

@@ -9,7 +9,7 @@ import pytest
 from mslqr import assembly as asm
 from mslqr import bench
 from mslqr import mesh as mm
-from mslqr import norms
+from mslqr import dre, lod, norms
 from mslqr.cli import main
 from mslqr.dre import SolverConfig
 
@@ -152,6 +152,39 @@ def test_norm_factors_built_once_per_study(tmp_path, monkeypatch):
     rec = bench.run_experiment(tiny_config(tmp_path))
     assert len(rec.levels) == 2
     assert len(calls) == 2
+
+
+def test_every_factorization_follows_the_spd_rule(tmp_path, monkeypatch):
+    # every sparse factor of a study pivots on the diagonal; SuperLU keeps
+    # the given order only of a matrix already permuted by a mesh's nested
+    # dissection, and orders every other one by minimum degree
+    given, calls = [], []
+    real_permuted = asm.permuted
+
+    def spied_permuted(A, order):
+        given.append(real_permuted(A, order))
+        return given[-1]
+
+    monkeypatch.setattr(asm, "permuted", spied_permuted)
+    for module in (dre, lod, norms):
+        def spied(A, module=module, real=module.splu, **kwargs):
+            calls.append((module.__name__, A, kwargs))
+            return real(A, **kwargs)
+
+        monkeypatch.setattr(module, "splu", spied)
+    bench.run_experiment(tiny_config(tmp_path))
+    assert {name for name, _, _ in calls} == {
+        "mslqr.dre", "mslqr.lod", "mslqr.norms"}
+    specs = set()
+    for name, A, kwargs in calls:
+        assert kwargs.get("diag_pivot_thresh") == 0.0, name
+        assert kwargs.get("options") == {"SymmetricMode": True}, name
+        permuted = any(B.shape == A.shape and (B != A).nnz == 0
+                       for B in given)
+        want = "NATURAL" if permuted else "MMD_AT_PLUS_A"
+        assert kwargs.get("permc_spec") == want, name
+        specs.add(want)
+    assert specs == {"NATURAL", "MMD_AT_PLUS_A"}
 
 
 def test_bad_output_path_fails_before_any_mesh(tmp_path, monkeypatch):

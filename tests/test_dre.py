@@ -125,7 +125,8 @@ def test_flow_cache_keeps_no_mass_factor():
     # came from is not kept
     system = small_system()
     cache = FlowCache(system, SolverConfig(T=1.0, n_t=16))
-    W = splu(system.M.tocsc()).solve(np.ascontiguousarray(system.C.T))
+    W = asm.factor_spd(system.M, splu=splu).solve(
+        np.ascontiguousarray(system.C.T))
     assert np.array_equal(cache.W, W)
     held = [name for name, value in vars(cache).items()
             if type(value).__name__ == "SuperLU"]
@@ -431,6 +432,18 @@ def test_closed_loop_rejects_solution_of_another_config(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("x0, match", [
+    (np.ones(8), r"x0 has shape \(8,\), but the system has 9 unknowns"),
+    (np.r_[np.ones(8), np.nan], "x0 must be finite")])
+def test_closed_loop_refuses_bad_x0_before_factoring(monkeypatch, x0, match):
+    system = small_system(level=1, seed=59)
+    cfg = SolverConfig(T=1.0, n_t=8, substeps=2)
+    calls = counting_splu(monkeypatch)
+    with pytest.raises(ValueError, match=match):
+        simulate_closed_loop(system, None, x0, cfg)
+    assert calls == []
+
+
 def test_solver_rejects_mismatched_factor():
     system = small_system(level=1, seed=60)
     cfg = SolverConfig(T=1.0, n_t=4, substeps=2)
@@ -494,18 +507,21 @@ def test_config_validation():
 
 
 def test_dissection_order_fills_less_than_colamd():
+    # nested dissection fills less than minimum degree, which fills less
+    # than SuperLU's default COLAMD
     mesh = unit_square_level(5)
     M = asm.assemble_mass(mesh)
-    colamd = dre._factor(M, None)
-    dissection = dre._factor(M, mesh.dissection_order)
-    fill = dissection.L.nnz + dissection.U.nnz
-    assert fill < colamd.L.nnz + colamd.U.nnz
-    assert fill < 251_152
+    fills = [lu.L.nnz + lu.U.nnz for lu in (
+        asm.factor_spd(M, mesh.dissection_order, splu=splu),
+        asm.factor_spd(M, splu=splu), splu(M.tocsc()))]
+    assert fills[0] < fills[1] < fills[2]
+    assert fills[0] < 251_152
 
 
-def test_dissection_path_matches_colamd_path(monkeypatch):
+def test_dissection_path_matches_mmd_path(monkeypatch):
     # the level-4 grid matrices, once as a mesh-assembled system (factored
-    # in the mesh's nested-dissection order) and once built by hand (COLAMD)
+    # in the mesh's nested-dissection order) and once built by hand
+    # (minimum degree)
     chain = [mm.build_base_mesh(mm.unit_square())]
     for _ in range(4):
         chain.append(mm.refine_uniform(chain[-1]))
@@ -529,7 +545,7 @@ def test_dissection_path_matches_colamd_path(monkeypatch):
         out.append((sol.final, simulate_closed_loop(system, sol, x0,
                                                     cfg).cost))
     # mass factor, step factor and closed-loop step factor on each path
-    assert specs == ["NATURAL"] * 3 + ["COLAMD"] * 3
+    assert specs == ["NATURAL"] * 3 + ["MMD_AT_PLUS_A"] * 3
     (F_fast, cost_fast), (F_slow, cost_slow) = out
     X_fast, X_slow = F_fast.to_dense(), F_slow.to_dense()
     assert (np.linalg.norm(X_fast - X_slow)

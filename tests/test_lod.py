@@ -294,13 +294,12 @@ def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
     ws = lod._Workspace(fine, coarse, kappa)
     ws.condensation  # the interior factorization, before the capture
     seen = []
-    factor_spd = lod._factor_spd
 
-    def capture_factor(Sc):
+    def capture_factor(Sc, **kwargs):
         seen.append(Sc)
-        return factor_spd(Sc)
+        return splu(Sc, **kwargs)
 
-    monkeypatch.setattr(lod, "_factor_spd", capture_factor)
+    monkeypatch.setattr(lod, "splu", capture_factor)
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
@@ -519,10 +518,10 @@ def test_position_map_reset_after_skeleton_solve(monkeypatch, small):
     assert lod._skeleton_solve(ws, [K], patch)
     assert (ws.dof_pos == -1).all()
 
-    def singular(S):
+    def singular(S, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(lod, "_factor_spd", singular)
+    monkeypatch.setattr(lod, "splu", singular)
     with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
         lod._skeleton_solve(ws, [K], patch)
     assert (ws.dof_pos == -1).all()
@@ -573,7 +572,7 @@ def test_corrector_zero_rhs_gives_zero(small):
     K = 4
     patch = lod.patch_elements(coarse, K, 1)
     _, Spp, Cp, rhs = ancestor_rule_problem(ws, small["kappa"], K, patch)
-    cols = lod._constrained_solve(lod._factor_spd(Spp), Cp,
+    cols = lod._constrained_solve(asm.factor_spd(Spp, splu=splu), Cp,
                                   np.zeros_like(rhs))
     assert cols.shape == rhs.shape
     assert np.abs(cols).max() == 0.0
