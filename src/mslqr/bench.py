@@ -29,7 +29,7 @@ from .lod import build_lod_basis, default_patch_radius
 from .lowrank import zero_factor
 from .mesh import build_base_mesh, prolongation, refine_uniform
 from .norms import SparseCholesky, l2_operator_error, v_operator_error
-from .runtime import single_thread_blas
+from .runtime import blas_threads, single_thread_blas
 
 CSV_COLUMNS = ["H", "n_coarse", "err_L2_fem", "err_L2_lod", "err_V_fem",
                "err_V_lod", "time_lod_setup", "time_solve_fem",
@@ -272,6 +272,8 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ConvergenceRecord:
 
 def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
     say = log if log is not None else (lambda msg: None)
+    threads = ", ".join(f"{label} {n}" for label, n in blas_threads().items())
+    say(f"BLAS threads: {threads or 'no OpenBLAS found'}")
 
     kappa = build_kappa(cfg)       # a bad [kappa] fails before any mesh
     with open(cfg.output, "w") as out:     # and so does a bad output path

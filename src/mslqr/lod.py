@@ -326,21 +326,15 @@ def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
     return A.data[idx[keep]], pos[keep], kept[np.concatenate([[0], ends])]
 
 
-# Right-hand-side columns per SuperLU solve, for the patch skeletons and
-# the block-diagonal interior factor alike: the condensation's stacked
-# columns [E_IB | Ic^T | r_I] and the recovery's hat slots are solved this
-# many at a time.  With BLAS unpinned on two cores, a solve on a 228-dof
-# skeleton factor took 0.318 ms at 1.92 CPU seconds per wall second with
-# 16 columns, and 0.129 ms at 1.00 with 8: wider blocks wake the OpenBLAS
-# thread pool.  A real BLAS pin (ROADMAP item 1) ends the need for this
-# limit.
+# Right-hand-side columns per solve with the block-diagonal interior
+# factor: the condensation's stacked columns [E_IB | Ic^T | r_I] and the
+# recovery's hat slots are solved this many at a time.  The bound is for
+# memory: each block holds a dense n_el x n_I x width right-hand side and
+# its solution.  Solving all columns at once raised the benchmark's peak
+# RSS from 107.6-107.9 to 121.0 MiB on `lod-fine6` and from 101.7-102.8
+# to 113.2-114.8 MiB on `desk-grid` (seeds 1009 and 11).  A patch
+# skeleton's factor is small and takes all of its columns in one solve.
 _SOLVE_COLUMNS = 8
-
-
-def _solve_blocks(lu, rhs: np.ndarray) -> np.ndarray:
-    """lu.solve on at most _SOLVE_COLUMNS columns of rhs at a time."""
-    return np.hstack([lu.solve(rhs[:, i:i + _SOLVE_COLUMNS])
-                      for i in range(0, rhs.shape[1], _SOLVE_COLUMNS)])
 
 
 def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
@@ -426,7 +420,7 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
         Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos),
                            shape=(n_c, n_s))
         lu = factor_spd(Sc, splu=splu)
-        Yc = _solve_blocks(lu, Ct.T.toarray())
+        Yc = lu.solve(Ct.T.toarray())
         sigma = sla.cho_factor(Ct @ Yc + D)
         for K, hat_free in hats:
             p = np.searchsorted(patch, K)
@@ -437,7 +431,7 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             rhs[dof_pos[bf[on]]] = cd.rt[K][on][:, own]
             g = np.zeros((n_c, hat_free.size))
             g[cpos[p][own]] = cd.g[K][own][:, own]
-            Yr = _solve_blocks(lu, rhs)
+            Yr = lu.solve(rhs)
             lam = sla.cho_solve(sigma, Ct @ Yr + g)
             out.append(_Skeleton(K, dof_free, Yr - Yc @ lam, hat_free,
                                  patch, c_free, lam))

@@ -724,22 +724,27 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
 
 @pytest.mark.parametrize("level", [0, 1])
 def test_build_solves_at_most_solve_columns(monkeypatch, level):
-    # every SuperLU solve of a build, with the interior factor or a patch
-    # skeleton factor, takes at most _SOLVE_COLUMNS right-hand sides
+    # every SuperLU solve of a build with the block-diagonal interior
+    # factor takes at most _SOLVE_COLUMNS right-hand sides
     chain = mesh_chain(3)
     coarse, fine = chain[level], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    n_interior = (lod._Workspace(fine, coarse, kappa).condensation.n_interior
+                  * coarse.n_triangles)
     widths = []
 
     class Counted:
-        def __init__(self, lu):
-            self.lu = lu
+        def __init__(self, lu, n):
+            self.lu, self.n = lu, n
 
         def solve(self, rhs, *args, **kwargs):
-            widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            if self.n == n_interior:
+                widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
             return self.lu.solve(rhs, *args, **kwargs)
 
-    monkeypatch.setattr(lod, "splu", lambda *a, **kw: Counted(splu(*a, **kw)))
+    monkeypatch.setattr(lod, "splu",
+                        lambda A, *a, **kw: Counted(splu(A, *a, **kw),
+                                                    A.shape[0]))
     lod.build_lod_basis(fine, coarse, kappa, lod.default_patch_radius(coarse),
                         make_system(fine, kappa))
     assert max(widths) == lod._SOLVE_COLUMNS
