@@ -9,10 +9,12 @@ basis.  The fine dofs strictly inside each coarse element are condensed
 once per build, so a constrained problem is solved on its patch skeleton
 (the patch dofs on coarse edges) through the small dense Schur complement
 of its quasi-interpolation rows, and the element interiors are recovered
-at the end.  The sparse factorizations are one of the block-diagonal
-matrix of all element interiors, used for both the condensation and the
-recovery, and one per distinct patch skeleton.  Element problems are
-independent and deterministic, so the basis is reproducible.
+at the end.  The factorizations are one sparse factor of the
+block-diagonal matrix of all element interiors, used for both the
+condensation and the recovery, and one per distinct patch skeleton: a
+dense Cholesky factor of a small skeleton, a sparse one of a large one.
+Element problems are independent and deterministic, so the basis is
+reproducible.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.sparse.linalg import splu
 
 from .assembly import (CoefficientField, LqrSystem, _element_stiffness,
@@ -308,6 +311,16 @@ class _Condensation:
             shape=I_free.shape)
 
 
+def _row_entries(A: sp.csr_matrix, rows: np.ndarray):
+    """(idx, lens): the positions in A.indices and A.data of the entries
+    of the CSR rows ``rows``, row after row in A's order, and the number
+    of entries of each row."""
+    starts = A.indptr[rows]
+    lens = A.indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    return np.repeat(starts - ends + lens, lens) + np.arange(lens.sum()), lens
+
+
 def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
     """(data, indices, indptr) of the rows ``rows`` of the CSR matrix A,
     keeping the columns that ``col_pos`` maps to positions >= 0 (-1 drops
@@ -316,14 +329,26 @@ def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
     Entries keep A's order within each row, sorted or not.  Read as CSR
     the arrays are the submatrix; read as CSC, its transpose.
     """
-    starts = A.indptr[rows]
-    lens = A.indptr[rows + 1] - starts
-    ends = np.cumsum(lens)
-    idx = np.repeat(starts - ends + lens, lens) + np.arange(lens.sum())
+    idx, lens = _row_entries(A, rows)
     pos = col_pos[A.indices[idx]]
     keep = pos >= 0
     kept = np.concatenate([[0], np.cumsum(keep)])
-    return A.data[idx[keep]], pos[keep], kept[np.concatenate([[0], ends])]
+    return A.data[idx[keep]], pos[keep], kept[np.append(0, np.cumsum(lens))]
+
+
+def _gather_dense(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray,
+                  n_cols: int) -> np.ndarray:
+    """The submatrix of `_gather`, as a dense array in Fortran order with
+    ``n_cols`` columns.  A holds no duplicate entries.
+
+    Every entry is scattered into the transpose, a dropped one (position
+    -1) into an extra last row that is cut off, so no entry is filtered.
+    """
+    idx, lens = _row_entries(A, rows)
+    out = np.zeros((n_cols + 1, rows.size))
+    out[col_pos[A.indices[idx]], np.repeat(np.arange(rows.size), lens)] = \
+        A.data[idx]
+    return out[:-1].T
 
 
 # Right-hand-side columns per solve with the block-diagonal interior
@@ -333,8 +358,25 @@ def _gather(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray):
 # its solution.  Solving all columns at once raised the benchmark's peak
 # RSS from 107.6-107.9 to 121.0 MiB on `lod-fine6` and from 101.7-102.8
 # to 113.2-114.8 MiB on `desk-grid` (seeds 1009 and 11).  A patch
-# skeleton's factor is small and takes all of its columns in one solve.
+# skeleton's factor, dense or sparse, is small and takes all of its
+# columns in one solve.
 _SOLVE_COLUMNS = 8
+
+# Patch skeletons of at most this many dofs are factored dense, by
+# LAPACK's Cholesky (`dpotrf`); larger ones by `factor_spd`.  A small
+# skeleton is about half dense after the condensation, and SuperLU's
+# per-call overhead outweighs its arithmetic there.  One skeleton solve
+# (gather, factor, Ct^T and the element's columns) on the level-6 fine
+# mesh, median of 11, one BLAS thread, 2-vCPU VM, dense against sparse:
+# 228 dofs (coarse 2, k=1) 1.16 against 1.93 ms; 297 (coarse 3, k=2)
+# 2.19 against 2.82 ms; 324 (coarse 4, k=3) 2.83 against 3.13 ms; but
+# 330 with 108 constraint rows (coarse 5, k=5) 4.5 against 4.1 ms, 435
+# 4.0 against 3.8-3.9 ms, and 630 (coarse 5, k=7, the size of a
+# `grid-full` level-6 patch) 16.9 against 10.3 ms.  The crossover is
+# near 300 dofs, lower the more constraint rows a patch has.  Memory does
+# not set the gate: with every `desk-grid` skeleton dense (218-518 dofs)
+# its peak RSS read 104.4-105.2 against 103.4-105.4 MiB (three pairs).
+_DENSE_SKELETON_MAX = 300
 
 
 def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
@@ -379,11 +421,15 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     in the patch; its skeleton is those on coarse edges.  The element
     interiors are condensed (`_Condensation`), so the patch gathers and
     factors only the skeleton Schur complement Sc, once for all the
-    elements.  The columns minimize the energy subject to the patch's
-    quasi-interpolation rows C: per element, one solve with Sc for its
-    right-hand side, then the multipliers from the Cholesky factor of
-    Sigma = Ct Sc^-1 Ct^T + D, with Ct the condensed rows.  A singular Sc
-    or a rank-deficient C raises LinAlgError naming the element.
+    elements: up to `_DENSE_SKELETON_MAX` dofs, Sc and the condensed rows
+    Ct are gathered dense and Sc is factored by `dpotrf`, otherwise both
+    stay sparse and Sc is factored by `factor_spd`.  The columns minimize
+    the energy subject to the patch's quasi-interpolation rows C: one
+    solve with Sc for Ct^T, then per element one solve for its right-hand
+    side and the multipliers from the Cholesky factor of
+    Sigma = Ct Sc^-1 Ct^T + D.  An Sc that is singular (sparse) or not
+    positive definite (dense), or a rank-deficient C, raises LinAlgError
+    naming the element.
     """
     coarse = ws.coarse
     hats = [(K, ws.free_hats(K)[1]) for K in elements]
@@ -415,12 +461,24 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     try:
         dof_pos[dof_free] = np.arange(n_s)
         # S_skel is symmetric, so its patch rows read as columns are Sc
-        Sc = sp.csc_matrix(_gather(cd.S_skel, dof_free, dof_pos),
-                           shape=(n_s, n_s))
-        Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos),
-                           shape=(n_c, n_s))
-        lu = factor_spd(Sc, splu=splu)
-        Yc = lu.solve(Ct.T.toarray())
+        if n_s <= _DENSE_SKELETON_MAX:
+            Ct = _gather_dense(cd.C_skel, c_free, dof_pos, n_s)
+            U, info = dpotrf(_gather_dense(cd.S_skel, dof_free, dof_pos, n_s),
+                             overwrite_a=True, clean=False)
+            if info > 0:
+                raise np.linalg.LinAlgError(
+                    f"skeleton matrix not positive definite (minor {info})")
+
+            def solve(b):
+                return dpotrs(U, b)[0]
+            Yc = solve(Ct.T)
+        else:
+            Ct = sp.csr_matrix(_gather(cd.C_skel, c_free, dof_pos),
+                               shape=(n_c, n_s))
+            solve = factor_spd(
+                sp.csc_matrix(_gather(cd.S_skel, dof_free, dof_pos),
+                              shape=(n_s, n_s)), splu=splu).solve
+            Yc = solve(Ct.T.toarray())
         sigma = sla.cho_factor(Ct @ Yc + D)
         for K, hat_free in hats:
             p = np.searchsorted(patch, K)
@@ -431,7 +489,7 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             rhs[dof_pos[bf[on]]] = cd.rt[K][on][:, own]
             g = np.zeros((n_c, hat_free.size))
             g[cpos[p][own]] = cd.g[K][own][:, own]
-            Yr = lu.solve(rhs)
+            Yr = solve(rhs)
             lam = sla.cho_solve(sigma, Ct @ Yr + g)
             out.append(_Skeleton(K, dof_free, Yr - Yc @ lam, hat_free,
                                  patch, c_free, lam))
@@ -573,20 +631,25 @@ def _build_lod_basis(fine, coarse, kappa, k, system):
     patches = [patch_elements(coarse, K, k) for K in range(coarse.n_triangles)]
     keys = [patch.tobytes() for patch in patches]
     solved = []
-    n_factorizations = 0
+    skeleton_sizes = []  # dofs of each factored patch skeleton
     for _, group in groupby(sorted(range(coarse.n_triangles),
                                    key=keys.__getitem__),
                             key=keys.__getitem__):
         group = list(group)
         skeletons = _skeleton_solve(ws, group, patches[group[0]])
-        n_factorizations += bool(skeletons)
+        if skeletons:
+            skeleton_sizes.append(skeletons[0].dofs.size)
         solved += skeletons
     Q = _corrector_matrix(ws, solved)
     P_free = ws.P_free
     del ws, solved  # the condensation, before the Galerkin restriction
     sizes = [patch.size for patch in patches]
+    n_dense = sum(n <= _DENSE_SKELETON_MAX for n in skeleton_sizes)
     stats = {"n_elements": coarse.n_triangles,
-             "patch_factorizations": n_factorizations,
+             "patch_factorizations": len(skeleton_sizes),
+             "patch_factorizations_dense": n_dense,
+             "patch_factorizations_sparse": len(skeleton_sizes) - n_dense,
+             "skeleton_dofs_max": max(skeleton_sizes, default=0),
              "patch_elements_min": int(min(sizes)),
              "patch_elements_max": int(max(sizes))}
     Rh = (P_free - Q).tocsr()

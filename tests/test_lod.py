@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf
 from scipy.sparse.linalg import splu
 
 from mslqr import assembly as asm
@@ -274,6 +275,14 @@ def test_element_rhs_matches_ancestor_rule(small):
                 <= 1e-13 * np.abs(expected).max())
 
 
+def counted(calls, name, factor):
+    """``factor``, appending ``name`` to ``calls`` at every call."""
+    def call(*args, **kwargs):
+        calls.append(name)
+        return factor(*args, **kwargs)
+    return call
+
+
 def skeleton_split(ws, patch, skeleton_dofs):
     """Positions of the skeleton dofs and of the interior dofs within the
     sorted free positions of the patch dofs (incidence reference)."""
@@ -292,14 +301,13 @@ def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
     coarse, fine = chain[1], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
     ws = lod._Workspace(fine, coarse, kappa)
-    ws.condensation  # the interior factorization, before the capture
     seen = []
 
     def capture_factor(Sc, **kwargs):
-        seen.append(Sc)
-        return splu(Sc, **kwargs)
+        seen.append(Sc.copy())  # dpotrf overwrites it
+        return dpotrf(Sc, **kwargs)
 
-    monkeypatch.setattr(lod, "splu", capture_factor)
+    monkeypatch.setattr(lod, "dpotrf", capture_factor)
     for K in np.unique(np.linspace(0, coarse.n_triangles - 1, 7).astype(int)):
         for k in (1, 2, 3):
             patch = lod.patch_elements(coarse, K, k)
@@ -311,8 +319,8 @@ def test_patch_matrices_match_scipy_slices(monkeypatch, domain):
             A = Spp.toarray()
             ref = A[np.ix_(S, S)] - A[np.ix_(S, I)] @ np.linalg.solve(
                 A[np.ix_(I, I)], A[np.ix_(I, S)])
-            assert Sc.format == "csc" and Sc.shape == ref.shape
-            assert (np.abs(Sc.toarray() - ref).max()
+            assert Sc.shape == ref.shape
+            assert (np.abs(Sc - ref).max()
                     <= 1e-12 * np.abs(ref).max())
 
 
@@ -406,12 +414,7 @@ def test_one_refinement_condenses_nothing(monkeypatch):
             assert (np.abs(cols - expected).max()
                     <= 1e-12 * np.abs(expected).max())
     calls = []
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(lod, "splu", counting_splu)
+    monkeypatch.setattr(lod, "dpotrf", counted(calls, "dpotrf", dpotrf))
     basis = lod.build_lod_basis(fine, coarse, kappa, 1,
                                 make_system(fine, kappa))
     assert len(calls) == basis.stats["patch_factorizations"] > 0
@@ -461,7 +464,8 @@ def test_condensation_rejects_mixed_topology(small):
 
 def test_gather_keeps_unsorted_rows():
     # a row-and-column gather of a CSR matrix whose rows are stored out of
-    # column order equals the two-step slice, entry order included
+    # column order equals the two-step slice, entry order included, and
+    # so does its dense form
     rng = np.random.default_rng(3)
     A = sp.random(30, 40, density=0.3, random_state=rng, format="csr")
     for r in range(A.shape[0]):
@@ -478,6 +482,9 @@ def test_gather_keeps_unsorted_rows():
     assert np.array_equal(indptr, ref.indptr)
     assert np.array_equal(indices, ref.indices)
     assert np.array_equal(data, ref.data)
+    dense = lod._gather_dense(A, rows, col_pos, cols.size)
+    assert dense.flags.f_contiguous
+    assert np.array_equal(dense, ref.toarray())
 
 
 @pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
@@ -521,10 +528,94 @@ def test_position_map_reset_after_skeleton_solve(monkeypatch, small):
     def singular(S, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
+    def not_positive_definite(S, **kwargs):
+        return S, 1
+
     monkeypatch.setattr(lod, "splu", singular)
-    with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
+    monkeypatch.setattr(lod, "dpotrf", not_positive_definite)
+    for gate in (0, lod._DENSE_SKELETON_MAX):  # sparse, then dense
+        monkeypatch.setattr(lod, "_DENSE_SKELETON_MAX", gate)
+        with pytest.raises(np.linalg.LinAlgError, match=f"element {K}:"):
+            lod._skeleton_solve(ws, [K], patch)
+        assert (ws.dof_pos == -1).all()
+
+
+def test_indefinite_dense_skeleton_names_the_element(small):
+    # LAPACK's Cholesky refuses a skeleton matrix that is not positive
+    # definite, and the position map is reset
+    coarse, fine = small["coarse"], small["fine"]
+    ws = lod._Workspace(fine, coarse, small["kappa"])
+    ws.condensation.S_skel = -ws.condensation.S_skel
+    K = 7
+    patch = lod.patch_elements(coarse, K, 1)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=f"element {K}: .*not positive definite"):
         lod._skeleton_solve(ws, [K], patch)
     assert (ws.dof_pos == -1).all()
+
+
+def test_gate_sends_larger_skeletons_to_superlu(monkeypatch, small):
+    # a skeleton of more than _DENSE_SKELETON_MAX dofs is factored by
+    # lod.splu, one of at most that many by lod.dpotrf
+    coarse, fine = small["coarse"], small["fine"]
+    ws = lod._Workspace(fine, coarse, small["kappa"])
+    K = 7
+    patch = lod.patch_elements(coarse, K, 1)
+    [s] = lod._skeleton_solve(ws, [K], patch)
+    calls = []
+    monkeypatch.setattr(lod, "splu", counted(calls, "splu", splu))
+    monkeypatch.setattr(lod, "dpotrf", counted(calls, "dpotrf", dpotrf))
+    for gate, factor in ((s.dofs.size - 1, "splu"), (s.dofs.size, "dpotrf")):
+        monkeypatch.setattr(lod, "_DENSE_SKELETON_MAX", gate)
+        calls.clear()
+        lod._skeleton_solve(ws, [K], patch)
+        assert calls == [factor]
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+@pytest.mark.parametrize("level", [1, 2])
+def test_dense_and_sparse_skeletons_give_one_basis(monkeypatch, domain, level):
+    # every skeleton factored sparse, then every one dense: the same basis
+    # to roundoff, with a condensation (level 1) and without (level 2)
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[level], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
+    system = make_system(fine, kappa)
+    bases = []
+    for gate in (0, fine.n_free):
+        monkeypatch.setattr(lod, "_DENSE_SKELETON_MAX", gate)
+        bases.append(lod.build_lod_basis(fine, coarse, kappa, 2, system))
+    sparse, dense = bases
+    for a, b in ((sparse.Rh, dense.Rh), (sparse.S_ms, dense.S_ms)):
+        assert abs(a - b).max() <= 1e-12 * abs(a).max()
+    n = sparse.stats["patch_factorizations"]
+    assert n == dense.stats["patch_factorizations"] > 0
+    assert (sparse.stats["patch_factorizations_sparse"]
+            == dense.stats["patch_factorizations_dense"] == n)
+    assert (sparse.stats["patch_factorizations_dense"]
+            == dense.stats["patch_factorizations_sparse"] == 0)
+
+
+def test_stats_count_dense_and_sparse_factorizations(monkeypatch, small):
+    # with the gate between the smallest and the largest skeleton, the
+    # build reports how many patch factorizations went either way
+    coarse, fine, kappa = small["coarse"], small["fine"], small["kappa"]
+    ws = lod._Workspace(fine, coarse, kappa)
+    sizes = {}
+    for K in range(coarse.n_triangles):
+        patch = lod.patch_elements(coarse, K, 1)
+        skeletons = lod._skeleton_solve(ws, [K], patch)
+        if skeletons:
+            sizes[patch.tobytes()] = skeletons[0].dofs.size
+    sizes = np.array(list(sizes.values()))
+    gate = int(np.median(sizes))
+    assert sizes.min() <= gate < sizes.max()
+    monkeypatch.setattr(lod, "_DENSE_SKELETON_MAX", gate)
+    stats = lod.build_lod_basis(fine, coarse, kappa, 1, small["system"]).stats
+    assert stats["patch_factorizations"] == sizes.size
+    assert stats["patch_factorizations_dense"] == (sizes <= gate).sum()
+    assert stats["patch_factorizations_sparse"] == (sizes > gate).sum()
+    assert stats["skeleton_dofs_max"] == sizes.max()
 
 
 # -- correctors ----------------------------------------------------------
@@ -704,15 +795,13 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     assert len(distinct) == n_patches
 
     calls = []
-
-    def counting_splu(*args, **kwargs):
-        calls.append(args[0].shape)
-        return splu(*args, **kwargs)
-
     with monkeypatch.context() as m:
-        m.setattr(lod, "splu", counting_splu)
+        m.setattr(lod, "splu", counted(calls, "splu", splu))
+        m.setattr(lod, "dpotrf", counted(calls, "dpotrf", dpotrf))
         basis = lod.build_lod_basis(fine, coarse, kappa, k, system)
-    assert len(calls) == n_patches + (ws.condensation.n_interior > 0)
+    # every skeleton of the level-3 fine mesh is below the gate
+    assert calls.count("splu") == (ws.condensation.n_interior > 0)
+    assert calls.count("dpotrf") == n_patches
     assert basis.stats["patch_factorizations"] == n_patches
     assert basis.stats["n_elements"] == coarse.n_triangles
 
