@@ -22,5 +22,8 @@ from .lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
 from .mesh import (Domain, TriMesh, build_base_mesh, l_shape, prolongation,
                    refine_uniform, u_shape, unit_square)
 from .norms import SparseCholesky, l2_operator_error, v_operator_error
+from .runtime import pin_blas
+
+pin_blas()
 
 __version__ = "0.1.0"

@@ -161,7 +161,7 @@ def _restrict(full: sp.csr_matrix, mesh: TriMesh,
 
 def _accumulate(triangles, n, local_vals):
     """Sum 3x3 local element matrices over the given triangles (rows of
-    vertex ids below n) into an n x n sparse matrix."""
+    vertex ids below n) into an n x n sparse matrix with no stored zeros."""
     rows, cols, vals = [], [], []
     for i in range(3):
         for j in range(3):
@@ -171,7 +171,12 @@ def _accumulate(triangles, n, local_vals):
     A = sp.coo_matrix((np.concatenate(vals),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
-    return 0.5 * (A + A.T)
+    # symmetric local matrices give an exactly symmetric A: an off-diagonal
+    # entry sums at most two triangles.  The P1 stiffness couples the two
+    # ends of a right triangle's hypotenuse by exactly 0; dropping those
+    # entries leaves S the 5-point pattern its minimum-degree factor needs
+    A.eliminate_zeros()
+    return A
 
 
 def assemble_mass(mesh: TriMesh, all_nodes: bool = False) -> sp.csr_matrix:

@@ -9,10 +9,10 @@ basis.  The fine dofs strictly inside each coarse element are condensed
 once per build, so a constrained problem is solved on its patch skeleton
 (the patch dofs on coarse edges) through the small dense Schur complement
 of its quasi-interpolation rows, and the element interiors are recovered
-at the end.  The factorizations are one sparse factor of the
-block-diagonal matrix of all element interiors, used for both the
-condensation and the recovery, and one per distinct patch skeleton: a
-dense Cholesky factor of a small skeleton, a sparse one of a large one.
+at the end with one product from the condensation's solved columns.  The
+factorizations are sparse ones of the block-diagonal interior matrix, a
+chunk of elements at a time, and one per distinct patch skeleton: a dense
+Cholesky factor of a small skeleton, a sparse one of a large one.
 Element problems are independent and deterministic, so the basis is
 reproducible.
 """
@@ -168,27 +168,27 @@ class _Condensation:
     n_B on its edges.  With E an element's assembled stiffness, Ic its
     interior quasi-interpolation rows (one per corner, zero for a Dirichlet
     corner; no other row touches the interior) and r = E P the element
-    right-hand side of its corner hats, it holds:
+    right-hand side of its corner hats, it holds per element:
 
-    - ``lu``, one factorization of blockdiag(E_II) over all elements, and
-      blockdiag(E_IB), for the recovery of the interiors
-      (`_corrector_matrix`).  The interiors partition part of the free
-      fine dofs, so the factor is bounded by the fine mesh;
-    - per element r, the condensed right-hand side
-      rt = r_B - E_BI E_II^-1 r_I on the edges and, corner by corner,
-      D = Ic E_II^-1 Ic^T and g = Ic E_II^-1 r_I.
+    - ``r`` and ``X`` = E_II^-1 [E_IB | Ic^T | r_I], the solved stacked
+      columns, from which `_corrector_matrix` recovers the interiors with
+      one product;
+    - the condensed right-hand side rt = r_B - E_BI E_II^-1 r_I on the
+      edges and, corner by corner, D = Ic E_II^-1 Ic^T and
+      g = Ic E_II^-1 r_I.
 
     Over the whole mesh, on the free nodes, it holds S_skel, the sum of
     the elements' Schur complements E_BB - E_BI E_II^-1 E_IB, and C_skel,
     the quasi-interpolation rows off the element interiors minus the
     boundary images E_BI E_II^-1 Ic^T.  A patch gathers its skeleton rows
-    of both: every element at a patch dof lies in the patch.  All of them
-    come from the elements' stacked columns [E_IB | Ic^T | r_I], solved
-    with ``lu`` one block of columns at a time.
+    of both: every element at a patch dof lies in the patch.
 
+    The elements are factored as blockdiag(E_II) in chunks of at most
+    `_INTERIOR_CHUNK` interior dofs (one element when it alone has more),
+    each chunk's columns solved in one call; no factor outlives its chunk.
     With one refinement between the meshes no vertex is interior, and the
-    condensation is the identity.  Raises ValueError if two elements differ
-    in topology.
+    condensation is the identity.  Raises ValueError if two elements
+    differ in topology.
     """
 
     def __init__(self, ws: _Workspace):
@@ -242,44 +242,41 @@ class _Condensation:
         for c in range(3):
             self.r[:, :, c] = (by_row @ (E * P[:, cols, c].T)).T
         corners = ws.coarse_free_index[coarse.triangles]
-        self.Ic = _entries(ws.I_free, corners[:, :, None],
-                           ws.free_index[V[:, None, :nI]])
-        ib = _block(rows, cols - nI, (rows < nI) & (cols >= nI), (nI, nB))
-        self.E_IB = _block_diagonal(E[ib[0]], *ib[1:], (nI, nB))
+        Ic = _entries(ws.I_free, corners[:, :, None],
+                      ws.free_index[V[:, None, :nI]])
 
-        # [E_BB - E_BI X_B | -E_BI X_c | r_B - E_BI X_r] and Ic [X_c | X_r]
-        # with [X_B | X_c | X_r] = E_II^-1 [E_IB | Ic^T | r_I]
+        # out = [E_BB - E_BI X_B | -E_BI X_c | r_B - E_BI X_r] and
+        # IX = Ic [X_c | X_r], with X = [X_B | X_c | X_r]
         out = np.zeros((n_el, nB, nB + 6))
         bb = (rows >= nI) & (cols >= nI)
         out[:, rows[bb] - nI, cols[bb] - nI] = E[bb].T
         out[:, :, nB + 3:] = self.r[:, nI:]
-        IX = np.zeros((n_el, 3, 6))
-        self.lu = None
+        X = np.zeros((n_el, nI, nB + 6))
+        ib = _block(rows, cols - nI, (rows < nI) & (cols >= nI), (nI, nB))
+        X[:, rows[ib[0]], cols[ib[0]] - nI] = E[ib[0]].T
+        X[:, :, nB:nB + 3] = Ic.transpose(0, 2, 1)
+        X[:, :, nB + 3:] = self.r[:, :nI]
         if nI:
             ii = _block(rows, cols, (rows < nI) & (cols < nI), (nI, nI))
-            try:  # E_II is symmetric: its CSR transpose is its CSC form
-                self.lu = factor_spd(_block_diagonal(E[ii[0]], *ii[1:],
-                                                     (nI, nI)).T, splu=splu)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    f"singular element interior stiffness ({exc})") from exc
-            ib_r, ib_c, ib_v = rows[ib[0]], cols[ib[0]] - nI, E[ib[0]].T
-            cr = np.concatenate([self.Ic.transpose(0, 2, 1), self.r[:, :nI]],
-                                axis=2)  # [Ic^T | r_I]
-            E_BI = self.E_IB.T  # E is symmetric
-            for a in range(0, nB + 6, _SOLVE_COLUMNS):
-                b = min(a + _SOLVE_COLUMNS, nB + 6)
-                rhs = np.zeros((n_el, nI, b - a))
-                sel = (ib_c >= a) & (ib_c < b)
-                rhs[:, ib_r[sel], ib_c[sel] - a] = ib_v[:, sel]
-                c = max(a, nB)
-                rhs[:, :, c - a:] = cr[:, :, c - nB:max(b - nB, 0)]
-                X = self.lu.solve(rhs.reshape(-1, b - a))
-                out[:, :, a:b] -= (E_BI @ X).reshape(n_el, nB, b - a)
-                IX[:, :, c - nB:max(b - nB, 0)] = (
-                    self.Ic @ X.reshape(n_el, nI, b - a)[:, :, c - a:])
-            del rhs, X, cr, ib_v
+            step = max(1, _INTERIOR_CHUNK // nI)
+            for a in range(0, n_el, step):
+                b = min(a + step, n_el)
+                try:  # E_II is symmetric: its CSR transpose is its CSC form
+                    lu = factor_spd(_block_diagonal(E[ii[0], a:b], *ii[1:],
+                                                    (nI, nI)).T, splu=splu)
+                except np.linalg.LinAlgError as exc:
+                    raise np.linalg.LinAlgError(
+                        f"singular element interior stiffness ({exc})"
+                    ) from exc
+                X[a:b] = lu.solve(X[a:b].reshape(-1, nB + 6)).reshape(
+                    b - a, nI, nB + 6)
+                del lu
+                E_BI = _block_diagonal(E[ib[0], a:b], *ib[1:], (nI, nB)).T
+                out[a:b] -= (E_BI @ X[a:b].reshape(-1, nB + 6)).reshape(
+                    b - a, nB, nB + 6)
         del E
+        self.X = X
+        IX = Ic @ X[:, :, nB:]
         self.rt = out[:, :, nB + 3:].copy()
         self.D, self.g = IX[:, :, :3], IX[:, :, 3:]
         G = out[:, :, nB:nB + 3].copy()  # -E_BI E_II^-1 Ic^T
@@ -351,16 +348,12 @@ def _gather_dense(A: sp.csr_matrix, rows: np.ndarray, col_pos: np.ndarray,
     return out[:-1].T
 
 
-# Right-hand-side columns per solve with the block-diagonal interior
-# factor: the condensation's stacked columns [E_IB | Ic^T | r_I] and the
-# recovery's hat slots are solved this many at a time.  The bound is for
-# memory: each block holds a dense n_el x n_I x width right-hand side and
-# its solution.  Solving all columns at once raised the benchmark's peak
-# RSS from 107.6-107.9 to 121.0 MiB on `lod-fine6` and from 101.7-102.8
-# to 113.2-114.8 MiB on `desk-grid` (seeds 1009 and 11).  A patch
-# skeleton's factor, dense or sparse, is small and takes all of its
-# columns in one solve.
-_SOLVE_COLUMNS = 8
+# Interior dofs per factorization of blockdiag(E_II) in the condensation,
+# a bound for memory: SuperLU reserves its fill estimate per factor.  On
+# the `lod-fine6` shape (13440 interior dofs, one BLAS thread) one chunk of
+# all of them peaked at 106.3-106.9 MiB RSS against 95.6-95.7 MiB with
+# this budget, at the same build time.
+_INTERIOR_CHUNK = 2048
 
 # Patch skeletons of at most this many dofs are factored dense, by
 # LAPACK's Cholesky (`dpotrf`); larger ones by `factor_spd`.  A small
@@ -398,18 +391,22 @@ def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
 
 class _Skeleton(NamedTuple):
     """Element K's corrector columns on the skeleton of its patch: the free
-    positions ``dofs`` of the skeleton vertices, the values ``x``, one
-    column per free coarse hat of K (free ids ``hats``), and the
-    multipliers ``lam`` of the patch's quasi-interpolation rows (free
-    coarse ids ``c_free``)."""
+    positions ``dofs`` of the skeleton vertices and the values ``x``, one
+    column per free coarse hat of K (free ids ``hats``).
+
+    With element interiors, ``keys`` numbers each (patch element, hat) as
+    element * (free coarse nodes) + hat, and ``weights`` holds its six
+    recovery weights: the multipliers at the element's three corners (0 at
+    a Dirichlet corner), then a one at the hat's corner if the element is
+    K itself.  Without interiors both are None.
+    """
 
     K: int
     dofs: np.ndarray
     x: np.ndarray
     hats: np.ndarray
-    patch: np.ndarray
-    c_free: np.ndarray
-    lam: np.ndarray
+    keys: np.ndarray | None
+    weights: np.ndarray | None
 
 
 def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
@@ -427,7 +424,8 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
     the energy subject to the patch's quasi-interpolation rows C: one
     solve with Sc for Ct^T, then per element one solve for its right-hand
     side and the multipliers from the Cholesky factor of
-    Sigma = Ct Sc^-1 Ct^T + D.  An Sc that is singular (sparse) or not
+    Sigma = Ct Sc^-1 Ct^T + D; the multipliers leave only as recovery
+    weights (`_Skeleton`).  An Sc that is singular (sparse) or not
     positive definite (dense), or a rank-deficient C, raises LinAlgError
     naming the element.
     """
@@ -491,8 +489,16 @@ def _skeleton_solve(ws: _Workspace, elements, patch: np.ndarray) -> list:
             g[cpos[p][own]] = cd.g[K][own][:, own]
             Yr = solve(rhs)
             lam = sla.cho_solve(sigma, Ct @ Yr + g)
+            keys = weights = None
+            if cd.n_interior:
+                keys = (patch[:, None] * coarse.n_free + hat_free).ravel()
+                weights = np.zeros((patch.size, hat_free.size, 6))
+                weights[:, :, :3] = np.vstack(
+                    [lam, np.zeros(hat_free.size)])[cpos].transpose(0, 2, 1)
+                weights[p, :, 3:] = corner[p] == hat_free[:, None]
+                weights = weights.reshape(-1, 6)
             out.append(_Skeleton(K, dof_free, Yr - Yc @ lam, hat_free,
-                                 patch, c_free, lam))
+                                 keys, weights))
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"element {K}: singular local corrector system ({exc})") from exc
@@ -505,15 +511,14 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     """Q, the sum by hat of the corrector columns of the given skeleton
     solves (`_skeleton_solve`), over the free fine and coarse nodes.
 
-    The skeleton values enter as solved.  The interior values are then
-    recovered, for every element and every hat whose columns touch it
-    (padded to the same number of hat slots per element), from the
-    skeleton values on its edges (read off Q), the multipliers of its
-    corners, summed by hat, and its own right-hand side where the element
-    itself was solved: -E_IB x_B - Ic^T lam + r_I, solved with the
-    condensation's block-diagonal factor one block of slots at a time.
-    The sums run in element order, so Q does not depend on how the
-    solves were grouped.
+    The skeleton values enter as solved.  The interior values follow for
+    every element and every hat whose columns touch it (padded to the
+    same number of hat slots per element): with the skeleton values x_B
+    on the element's edges read off Q and the records' weights summed by
+    (element, hat), the interior is X [-x_B; -lam; o] with the
+    condensation's solved columns X = E_II^-1 [E_IB | Ic^T | r_I], one
+    batched product for all elements.  The sums run in element order, so
+    Q does not depend on how the solves were grouped.
     """
     fine, coarse = ws.fine, ws.coarse
     n_c, n_el = coarse.n_free, coarse.n_triangles
@@ -529,53 +534,28 @@ def _corrector_matrix(ws: _Workspace, solved) -> sp.csr_matrix:
     nI = cd.n_interior
     if nI == 0:
         return Q
-    # multipliers at each patch element's corners (0 at a Dirichlet
-    # corner), summed per (element, hat) in element order
-    keys, lam = [], []
-    for s in solved:
-        corner = ws.coarse_free_index[coarse.triangles[s.patch]]
-        cpos = np.where(corner >= 0, np.searchsorted(s.c_free, corner), -1)
-        keys.append((s.patch[:, None] * n_c + s.hats).ravel())
-        lam.append(np.vstack([s.lam, np.zeros(s.hats.size)])[cpos]
-                   .transpose(0, 2, 1).reshape(-1, 3))
-    keys, lam = np.concatenate(keys), np.concatenate(lam)
-    keys, inv = np.unique(keys, return_inverse=True)
-    lam = np.stack([np.bincount(inv, lam[:, c], minlength=keys.size)
-                    for c in range(3)], axis=1)
+    keys, inv = np.unique(np.concatenate([s.keys for s in solved]),
+                          return_inverse=True)
+    weights = np.concatenate([s.weights for s in solved])
+    weights = np.stack([np.bincount(inv, weights[:, c], minlength=keys.size)
+                        for c in range(6)], axis=1)
     # slot j of element e: its j-th hat in increasing order, -1 past the end
     element, hat = np.divmod(keys, n_c)
-    start = np.searchsorted(element, np.arange(n_el))
-    slot = np.arange(keys.size) - start[element]
+    slot = (np.arange(keys.size)
+            - np.searchsorted(element, np.arange(n_el))[element])
     hats = np.full((n_el, slot.max() + 1), -1)
     hats[element, slot] = hat
-    lams = np.zeros((n_el, 3, hats.shape[1]))
-    lams[element, :, slot] = lam
-    # the solved elements' own right-hand sides, by (element, corner, slot)
-    own = np.array([s.K for s in solved])
-    corner = ws.coarse_free_index[coarse.triangles[own]]
-    i, own_c = np.nonzero(corner >= 0)
-    own = own[i]
-    own_slot = np.searchsorted(keys, own * n_c + corner[i, own_c]) - start[own]
-    brow = ws.free_index[cd.V[:, nI:]]
-    interior = ws.free_index[cd.V[:, :nI]]
-    IcT = cd.Ic.transpose(0, 2, 1)
-    rows, cols, vals = [], [], []
-    for a in range(0, hats.shape[1], _SOLVE_COLUMNS):
-        z = hats[:, a:a + _SOLVE_COLUMNS]
-        w = z.shape[1]
-        XB = _entries(Q, brow[:, :, None], z[:, None, :])
-        rhs = (-(cd.E_IB @ XB.reshape(-1, w)).reshape(n_el, nI, w)
-               - IcT @ lams[:, :, a:a + w])
-        sel = (own_slot >= a) & (own_slot < a + w)
-        rhs[own[sel], :, own_slot[sel] - a] += cd.r[own[sel], :nI, own_c[sel]]
-        X = cd.lu.solve(rhs.reshape(-1, w)).reshape(n_el, nI, w)
-        e, j = np.nonzero(z >= 0)
-        rows.append(interior[e].ravel())
-        cols.append(np.repeat(z[e, j], nI))
-        vals.append(X[e, :, j].ravel())
-    Q_int = sp.coo_matrix((np.concatenate(vals),
-                           (np.concatenate(rows), np.concatenate(cols))),
-                          shape=Q.shape).tocsr()
+    nB = cd.X.shape[2] - 6
+    Y = np.zeros((n_el, nB + 6, hats.shape[1]))
+    Y[:, :nB] = -_entries(Q, ws.free_index[cd.V[:, nI:]][:, :, None],
+                          hats[:, None, :])
+    Y[element, nB:, slot] = weights * [-1, -1, -1, 1, 1, 1]
+    X = cd.X @ Y
+    e, j = np.nonzero(hats >= 0)
+    Q_int = sp.coo_matrix(
+        (X[e, :, j].ravel(),
+         (ws.free_index[cd.V[e, :nI]].ravel(), np.repeat(hats[e, j], nI))),
+        shape=Q.shape).tocsr()
     return Q + Q_int
 
 

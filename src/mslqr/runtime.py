@@ -4,15 +4,16 @@ The factor algebra works on tall-skinny matrices and the sparse solves
 call BLAS on narrow blocks, where OpenBLAS's thread pool loses to
 contention: a second thread spins on the other core and, when that core
 is busy, every threaded call waits for it.  The NumPy and SciPy wheels
-each bundle their own OpenBLAS copy.  ``single_thread_blas`` finds both
+each bundle their own OpenBLAS copy.  ``pin_blas`` finds both
 copies that the packages loaded, once, and sets each to one thread
 through its ``scipy_openblas_set_num_threads[64_]`` symbol.
 
-The pin holds for the rest of the process; leaving the ``with`` block
+``import mslqr`` sets the pin, and it holds for the rest of the process;
+the entry points set it again in a ``with`` block, and leaving the block
 does not undo it.  The blocked QR behind ``compress`` sums in an order
-that depends on the thread count, so once one entry point has run, every
-later BLAS call sees the same single thread and gives the same bits,
-whatever ``OPENBLAS_NUM_THREADS`` said at start-up.  Where a copy is not
+that depends on the thread count, so every BLAS call of the package sees
+the same single thread and gives the same bits, whatever
+``OPENBLAS_NUM_THREADS`` said at start-up.  Where a copy is not
 found (another BLAS build), one ``RuntimeWarning`` says so and that BLAS
 keeps its thread count; ``OPENBLAS_NUM_THREADS=1`` set before Python
 starts then pins OpenBLAS by hand.
@@ -66,7 +67,7 @@ def _warn_unpinned(missing: tuple) -> None:
     warnings.warn(
         f"no OpenBLAS copy found for {' and '.join(missing)}: its BLAS "
         f"threads are left as they are; set OPENBLAS_NUM_THREADS=1 before "
-        f"starting Python to pin them", RuntimeWarning, stacklevel=4)
+        f"starting Python to pin them", RuntimeWarning, stacklevel=3)
 
 
 def blas_threads() -> dict:
@@ -74,13 +75,11 @@ def blas_threads() -> dict:
     return {label: int(get()) for label, (get, _) in _openblas().items()}
 
 
-@contextmanager
-def single_thread_blas():
+def pin_blas() -> None:
     """Pin every OpenBLAS copy to one thread for the rest of the process.
 
-    The entry points wrap their work in it; the block marks the work that
-    needs the pin, and leaving it does not unpin.  A copy that is not
-    found is warned about once and left as it is.
+    ``import mslqr`` calls it, so every public computation runs pinned.
+    A copy that is not found is warned about once and left as it is.
     """
     copies = _openblas()
     for _, set_threads in copies.values():
@@ -88,4 +87,14 @@ def single_thread_blas():
     missing = tuple(label for label in _OPENBLAS if label not in copies)
     if missing:
         _warn_unpinned(missing)
+
+
+@contextmanager
+def single_thread_blas():
+    """`pin_blas`, as a block around an entry point's work.
+
+    The block marks the work that needs the pin, and leaving it does not
+    unpin.
+    """
+    pin_blas()
     yield

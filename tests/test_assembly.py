@@ -182,6 +182,20 @@ def test_stiffness_symmetry_and_spd():
     assert np.linalg.eigvalsh(S.toarray()).min() > 0
 
 
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape, mm.u_shape])
+def test_stiffness_stores_no_zeros_and_is_exactly_symmetric(domain):
+    # the exact-zero hypotenuse couplings are dropped, which leaves the
+    # 5-point pattern of a right-triangle mesh: at most 5 entries per row
+    m = mm.build_base_mesh(domain())
+    for _ in range(4):
+        m = mm.refine_uniform(m)
+    S = asm.assemble_stiffness(m, asm.kappa_random_grid(2 ** -5, 1e-3, 1.0,
+                                                        seed=11))
+    assert (S.data != 0).all()
+    assert (np.diff(S.indptr) <= 5).all()
+    assert (S != S.T).nnz == 0
+
+
 def test_coefficient_bounds_transfer_to_quadratic_forms():
     m = unit_square_level(3)
     k = asm.kappa_random_grid(2 ** -4, 1e-3, 1.0, seed=12)

@@ -777,13 +777,23 @@ def per_element_basis(fine, coarse, kappa, k, system):
     return (ws.P_free - lod._corrector_matrix(ws, solved)).tocsr()
 
 
+def interior_chunks(n_interior, n_elements, budget=None):
+    """Number of interior factorizations of a build: chunks of at most
+    ``budget`` (default `_INTERIOR_CHUNK`) dofs, at least one element."""
+    if n_interior == 0:
+        return 0
+    budget = lod._INTERIOR_CHUNK if budget is None else budget
+    per_chunk = max(1, budget // n_interior)
+    return -(-n_elements // per_chunk)
+
+
 @pytest.mark.parametrize("level, n_patches", [(0, 2), (1, 22), (2, 126)])
 def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
     # elements with the same patch share one factorization of its
-    # skeleton; all element interiors share one block-diagonal
-    # factorization, for their condensation and their recovery, and with
-    # one refinement there is none; the basis equals the per-element
-    # build bit for bit
+    # skeleton; the element interiors are factored once, in block-diagonal
+    # chunks of at most _INTERIOR_CHUNK dofs, by the condensation alone,
+    # and with one refinement not at all; the basis equals the
+    # per-element build bit for bit
     chain = mesh_chain(3)
     coarse, fine = chain[level], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
@@ -800,7 +810,8 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
         m.setattr(lod, "dpotrf", counted(calls, "dpotrf", dpotrf))
         basis = lod.build_lod_basis(fine, coarse, kappa, k, system)
     # every skeleton of the level-3 fine mesh is below the gate
-    assert calls.count("splu") == (ws.condensation.n_interior > 0)
+    assert calls.count("splu") == interior_chunks(ws.condensation.n_interior,
+                                                  coarse.n_triangles)
     assert calls.count("dpotrf") == n_patches
     assert basis.stats["patch_factorizations"] == n_patches
     assert basis.stats["n_elements"] == coarse.n_triangles
@@ -812,31 +823,123 @@ def test_grouped_build_factors_each_patch_once(monkeypatch, level, n_patches):
 
 
 @pytest.mark.parametrize("level", [0, 1])
-def test_build_solves_at_most_solve_columns(monkeypatch, level):
-    # every SuperLU solve of a build with the block-diagonal interior
-    # factor takes at most _SOLVE_COLUMNS right-hand sides
+@pytest.mark.parametrize("budget", [10, None])
+def test_interior_factors_are_chunks_solved_once(monkeypatch, level, budget):
+    # every interior factor holds at most max(budget, n_I) rows, and the
+    # condensation solves all n_B + 6 columns of it in one call; the
+    # recovery solves nothing, and the chunking leaves the basis unchanged
     chain = mesh_chain(3)
     coarse, fine = chain[level], chain[3]
     kappa = asm.kappa_random_grid(2 ** -3, 0.05, 1.0, seed=31)
-    n_interior = (lod._Workspace(fine, coarse, kappa).condensation.n_interior
-                  * coarse.n_triangles)
-    widths = []
+    system = make_system(fine, kappa)
+    k = lod.default_patch_radius(coarse)
+    cd = lod._Workspace(fine, coarse, kappa).condensation
+    nI, nB = cd.n_interior, cd.V.shape[1] - cd.n_interior
+    assert nI > 0
+    expected = lod.build_lod_basis(fine, coarse, kappa, k, system).Rh
+    factors, recovering = [], []
 
     class Counted:
         def __init__(self, lu, n):
-            self.lu, self.n = lu, n
+            self.lu, self.widths = lu, []
+            factors.append((n, self.widths))
 
         def solve(self, rhs, *args, **kwargs):
-            if self.n == n_interior:
-                widths.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            assert not recovering
+            self.widths.append(rhs.shape[1])
             return self.lu.solve(rhs, *args, **kwargs)
 
+    corrector_matrix = lod._corrector_matrix
+
+    def recovery(*args):
+        recovering.append(True)
+        try:
+            return corrector_matrix(*args)
+        finally:
+            recovering.pop()
+
+    if budget is not None:
+        monkeypatch.setattr(lod, "_INTERIOR_CHUNK", budget)
+    monkeypatch.setattr(lod, "_corrector_matrix", recovery)
     monkeypatch.setattr(lod, "splu",
                         lambda A, *a, **kw: Counted(splu(A, *a, **kw),
                                                     A.shape[0]))
-    lod.build_lod_basis(fine, coarse, kappa, lod.default_patch_radius(coarse),
-                        make_system(fine, kappa))
-    assert max(widths) == lod._SOLVE_COLUMNS
+    Rh = lod.build_lod_basis(fine, coarse, kappa, k, system).Rh
+    # every skeleton of the level-3 fine mesh is below the gate, so every
+    # SuperLU factor is an interior chunk
+    assert len(factors) == interior_chunks(nI, coarse.n_triangles, budget)
+    limit = max(lod._INTERIOR_CHUNK if budget is None else budget, nI)
+    assert sum(n for n, _ in factors) == nI * coarse.n_triangles
+    for n, widths in factors:
+        assert n <= limit
+        assert widths == [nB + 6]
+    assert abs(Rh - expected).max() <= 1e-13 * abs(expected).max()
+
+
+@pytest.mark.parametrize("domain", [mm.unit_square, mm.l_shape])
+def test_recovered_interiors_match_dense_elimination(domain):
+    # the interior rows of Q equal E_II^-1 (-E_IB x_B - Ic^T lam + r_I),
+    # formed per element and hat with dense NumPy from the same skeleton
+    # solves: x_B summed from their values, lam from their multipliers at
+    # the element's corners, r_I where the element itself was solved
+    chain = mesh_chain(3, domain)
+    coarse, fine = chain[1], chain[3]
+    kappa = asm.kappa_random_grid(2 ** -5, 0.05, 1.0, seed=31)
+    ws = lod._Workspace(fine, coarse, kappa)
+    cd = ws.condensation
+    nI, n_c = cd.n_interior, coarse.n_free
+    solved = [s for K in range(coarse.n_triangles)
+              for s in lod._skeleton_solve(ws, [K],
+                                           lod.patch_elements(coarse, K, 2))]
+    Q = lod._corrector_matrix(ws, solved).toarray()
+    x = np.zeros((fine.n_free, n_c))
+    lam = {}
+    for s in solved:
+        x[np.ix_(s.dofs, s.hats)] += s.x
+        for key, w in zip(s.keys, s.weights):
+            lam[key] = lam.get(key, 0.0) + w[:3]
+    P = mm.prolongation(coarse, fine, all_nodes=True)
+    I_free = ws.I_free.toarray()
+    own = {s.K for s in solved}
+    checked = 0
+    for e in range(coarse.n_triangles):
+        T = fine.triangles[mm.descendant_triangles(coarse, fine, e)]
+        E = asm._accumulate(T, fine.n_vertices,
+                            asm._element_stiffness(fine, kappa, T))
+        E = E.toarray()[np.ix_(cd.V[e], cd.V[e])]
+        r = E @ P[cd.V[e]][:, coarse.triangles[e]].toarray()
+        corners = ws.coarse_free_index[coarse.triangles[e]]
+        interior = ws.free_index[cd.V[e, :nI]]
+        edge = ws.free_index[cd.V[e, nI:]]
+        Ic = np.zeros((3, nI))
+        Ic[corners >= 0] = I_free[corners[corners >= 0]][:, interior]
+        x_B = np.where(edge[:, None] >= 0, x[edge], 0.0)
+        for z in range(n_c):
+            rhs = (-E[:nI, nI:] @ x_B[:, z]
+                   - Ic.T @ lam.get(e * n_c + z, np.zeros(3)))
+            if e in own and z in corners:
+                rhs += r[:nI, list(corners).index(z)]
+            want = np.linalg.solve(E[:nI, :nI], rhs)
+            got = Q[interior, z]
+            assert (np.abs(got - want).max()
+                    <= 1e-12 * max(np.abs(want).max(), 1e-300))
+            checked += np.abs(want).max() > 0
+    assert checked > coarse.n_triangles
+
+
+def test_one_refinement_keeps_no_multipliers(small):
+    # with no element interiors the skeleton records carry no recovery
+    # weights, and no record keeps its patch's multipliers
+    chain = mesh_chain(3)
+    coarse, fine = chain[2], chain[3]
+    ws = lod._Workspace(fine, coarse, small["kappa"])
+    assert ws.condensation.n_interior == 0
+    assert not {"patch", "c_free", "lam"} & set(lod._Skeleton._fields)
+    solved = [s for K in range(coarse.n_triangles)
+              for s in lod._skeleton_solve(ws, [K],
+                                           lod.patch_elements(coarse, K, 2))]
+    assert solved
+    assert all(s.keys is None and s.weights is None for s in solved)
 
 
 def test_patch_and_radius_validation(small):

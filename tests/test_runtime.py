@@ -41,31 +41,73 @@ def _tiny_system(refinements):
 
 
 _PIN_SCRIPT = """
+import importlib.util
 import json
+import sys
+
+# the start-up counts, read by a copy of the runtime module loaded without
+# the package, whose import sets the pin
+spec = importlib.util.spec_from_file_location("startup", sys.argv[1])
+startup = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(startup)
+before = startup.blas_threads()
+
 from mslqr import bench, runtime
 from mslqr.assembly import kappa_constant
 from mslqr.dre import SolverConfig, solve_dre
 from mslqr.lowrank import zero_factor
 from mslqr.mesh import build_base_mesh, refine_uniform, unit_square
 
+imported = runtime.blas_threads()
 mesh = refine_uniform(refine_uniform(build_base_mesh(unit_square())))
 system = bench.build_system(mesh, kappa_constant(1.0), "unit_square")
-before = runtime.blas_threads()
 with runtime.single_thread_blas():
     inside = runtime.blas_threads()
 solve_dre(system, zero_factor(system.n), SolverConfig(T=0.25, n_t=4))
-print(json.dumps([before, inside, runtime.blas_threads()]))
+print(json.dumps([before, imported, inside, runtime.blas_threads()]))
 """
 
 
 def test_pin_holds_after_the_block():
-    before, inside, after = json.loads(_python(_PIN_SCRIPT, 2))
+    before, imported, inside, after = json.loads(
+        _python(_PIN_SCRIPT, 2, SRC / "mslqr" / "runtime.py"))
     one = {"numpy": 1, "scipy": 1}
     if len(os.sched_getaffinity(0)) >= 2:
         # OpenBLAS caps the start-up count at the number of cores
         assert before == {"numpy": 2, "scipy": 2}
+    assert imported == one
     assert inside == one
     assert after == one
+
+
+_NO_ENTRY_POINT_SCRIPT = """
+import json
+import numpy as np
+import scipy.sparse as sp
+from mslqr import lowrank, norms, runtime
+
+rng = np.random.default_rng(7)
+n = 400
+fine = lowrank.LowRankFactor(rng.standard_normal((n, 60)),
+                             np.diag(rng.uniform(0.5, 2.0, 60)))
+coarse = lowrank.LowRankFactor(rng.standard_normal((n, 40)),
+                               np.diag(rng.uniform(0.5, 2.0, 40)))
+M = sp.diags(rng.uniform(1.0, 2.0, n)).tocsc()
+err = norms.l2_operator_error(fine, coarse, sp.identity(n, format="csr"),
+                              norms.SparseCholesky(M))
+F = lowrank.compress(fine, 1e-8)
+print(json.dumps([runtime.blas_threads(), err.hex(),
+                  [x.hex() for x in F.L.ravel()]]))
+"""
+
+
+def test_computation_without_entry_point_runs_pinned():
+    # the norms and compress, called before any entry point, give the same
+    # bits whatever the start-up thread count
+    runs = [json.loads(_python(_NO_ENTRY_POINT_SCRIPT, n)) for n in (1, 2)]
+    for threads, _, _ in runs:
+        assert threads == {"numpy": 1, "scipy": 1}
+    assert runs[0][1:] == runs[1][1:]
 
 
 def test_no_openblas_warns_once_and_runs(monkeypatch):
