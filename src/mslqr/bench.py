@@ -287,7 +287,8 @@ def _run_experiment(cfg: ExperimentConfig, log) -> ConvergenceRecord:
 
         ref = solve_dre(system, zero_factor(system.n), cfg.solver)
         time_reference = ref.timings["total"]
-        say(f"reference solve: rank {ref.final.rank}, {time_reference:.1f}s")
+        say(f"reference solve: rank {ref.final.rank}, subspace "
+            f"{ref.subspace_dim}, {time_reference:.1f}s")
         _rank_sanity(ref.final.rank, "reference")
 
         # the dissection order fills less than minimum degree on the mass

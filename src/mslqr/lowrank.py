@@ -49,28 +49,33 @@ def zero_factor(n: int) -> LowRankFactor:
     return LowRankFactor(np.zeros((n, 0)), np.zeros((0, 0)))
 
 
-def _thin_qr(A: np.ndarray):
+def _thin_qr(A: np.ndarray, overwrite_a: bool = False):
     """Householder QR of an n x k matrix, A = Q R, in compact-WY form.
 
     Returns the m x k upper trapezoidal R, m = min(n, k), and a function
     W -> Q[:, :m] @ W that applies the reflectors to an m x r block without
-    forming Q.  One block of nb = m columns makes LAPACK's dgeqrt factor
-    the panel recursively with BLAS-3 calls; dgeqrf runs the unblocked,
-    BLAS-2 dgeqr2 on matrices this narrow.  A is not modified.
+    forming Q, into ``out`` (an n x r array) when one is given.  One block
+    of nb = m columns makes LAPACK's dgeqrt factor the panel recursively
+    with BLAS-3 calls; dgeqrf runs the unblocked, BLAS-2 dgeqr2 on
+    matrices this narrow.  A is not modified unless ``overwrite_a``; an A
+    in Fortran order then holds the reflectors, and no copy is made.
     """
     n, k = A.shape
     m = min(n, k)
-    V, T, info = lapack.dgeqrt(m, A)
+    V, T, info = lapack.dgeqrt(m, A, overwrite_a=overwrite_a)
     if info:  # pragma: no cover - only raised on invalid arguments
         raise ValueError(f"dgeqrt: illegal value in argument {-info}")
 
-    def q_times(W: np.ndarray) -> np.ndarray:
-        C = np.zeros((n, W.shape[1]), order="F")
+    def q_times(W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        C = np.zeros((n, W.shape[1]), order="F") if out is None else out
         C[:m] = W
+        C[m:] = 0.0
         QW, info = lapack.dgemqrt(V[:, :m], T, C, overwrite_c=1)
         if info:  # pragma: no cover - only raised on invalid arguments
             raise ValueError(f"dgemqrt: illegal value in argument {-info}")
-        return QW
+        if out is not None and QW is not out:
+            out[:] = QW
+        return QW if out is None else out
 
     return np.triu(V[:m]), q_times
 

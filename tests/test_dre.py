@@ -348,18 +348,89 @@ def test_solution_stays_psd():
 
 
 def test_solve_is_repeated_strang_steps():
+    # the solve steps coordinates in the span of its snapshots with the
+    # same strang_step; full-space stepping gives the same operator, but
+    # its columns may differ in sign (test_solve_matches_full_space_steps)
     system = small_system(level=1, seed=54)
     cfg = SolverConfig(T=1.0, n_t=16, substeps=2)
     sol = solve_dre(system, zero_factor(system.n), cfg)
-    cache = FlowCache(system, cfg)
     X = compress(zero_factor(system.n), cfg.compress_tol)
-    ranks = [X.rank]
+    span = dre._FlowSubspace(FlowCache(system, cfg), X)
+    assert sol.subspace_dim == span.dim > 0
+    Y = span.coordinates(X)
+    ranks = [Y.rank]
     for _ in range(cfg.n_t):
-        X = strang_step(cfg.tau, X, cache)
-        ranks.append(X.rank)
-    assert np.array_equal(sol.final.L, X.L)
-    assert np.array_equal(sol.final.D, X.D)
+        Y = strang_step(cfg.tau, Y, span)
+        ranks.append(Y.rank)
+    final = span.lift(Y)
+    assert np.array_equal(sol.final.L, final.L)
+    assert np.array_equal(sol.final.D, final.D)
     assert sol.rank_history == ranks
+    # the subspace holds the flow over tau/2 only
+    with pytest.raises(ValueError, match="holds the flow"):
+        span.propagate(cfg.tau, Y.L)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 24), p=st.integers(1, 3), r=st.integers(0, 4),
+       q_zero=st.booleans(), substeps=st.integers(1, 4),
+       n_t=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_solve_matches_full_space_steps(n, p, r, q_zero, substeps, n_t,
+                                        seed):
+    # every factor of a run lies in the span of its snapshots, so stepping
+    # in that span gives the full-space factors to roundoff, also when the
+    # (2 n_t substeps + 1) p snapshot columns outnumber the unknowns
+    system = random_system(n, p, seed)
+    if q_zero:
+        system.Q = np.zeros((p, p))
+    cfg = SolverConfig(T=1.0, n_t=n_t, substeps=substeps)
+    rng = np.random.default_rng(seed + 1)
+    X0 = LowRankFactor(rng.standard_normal((n, r)),
+                       np.diag(rng.uniform(0.1, 1.0, r)))
+    sol = solve_dre(system, X0, cfg, store_checkpoints=True)
+    cache = FlowCache(system, cfg)
+    X = compress(X0, cfg.compress_tol)
+    want, ranks = [X], [X.rank]
+    for _ in range(n_t):
+        X = strang_step(cfg.tau, X, cache)
+        want.append(X)
+        ranks.append(X.rank)
+    assert sol.rank_history == ranks
+    assert sol.subspace_dim <= n
+    for got, ref in zip(sol.checkpoints + [sol.final], want + [X]):
+        X_got, X_want = got.to_dense(), ref.to_dense()
+        assert (np.linalg.norm(X_got - X_want, 2)
+                <= 1e-12 * np.linalg.norm(X_want, 2))
+
+
+def test_reference_solve_steps_snapshot_columns(monkeypatch):
+    # the desk-grid reference shape (n=3969, n_t=16): the step factor
+    # takes p + rank X0 columns per substep of the snapshot pass and the
+    # basis's m columns per substep of one half-step, and the mass factor
+    # p columns (before the snapshot span: 1973 columns)
+    chain = [mm.build_base_mesh(mm.unit_square())]
+    for _ in range(5):
+        chain.append(mm.refine_uniform(chain[-1]))
+    kappa = bench.build_kappa(bench.preset_config("grid"))
+    system = bench.build_system(chain[5], kappa, "unit_square")
+    cfg = SolverConfig(T=1.0, n_t=16, substeps=4)
+    columns = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            columns.append(rhs.shape[1])
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(dre, "splu", lambda *a, **kw: Counted(splu(*a, **kw)))
+    sol = solve_dre(system, zero_factor(system.n), cfg)
+    m, p, n_sub = sol.subspace_dim, system.p, cfg.substeps
+    assert 0 < m < 100
+    assert sum(columns) <= 2 * cfg.n_t * n_sub * p + n_sub * m + p
+    assert sol.timings["subspace"] > 0
+    assert sol.rank_history[-1] == sol.final.rank > 0
 
 
 def test_solver_deterministic():

@@ -142,6 +142,23 @@ def test_compress_matches_scipy_qr_reference(F, tol):
     assert np.linalg.norm(Fc.to_dense() - X, 2) <= 1e-12 * np.linalg.norm(X, 2)
 
 
+@pytest.mark.parametrize("n, k", [(30, 7), (5, 9)])
+def test_thin_qr_in_place(n, k):
+    # an A in Fortran order holds the reflectors when it may be
+    # overwritten, and q_times writes into a given output
+    A = np.asfortranarray(np.random.default_rng(11).standard_normal((n, k)))
+    R, q_times = lr._thin_qr(A)
+    W = np.random.default_rng(12).standard_normal((min(n, k), 3))
+    QW = q_times(W)
+    B = A.copy(order="F")
+    R2, q_times2 = lr._thin_qr(B, overwrite_a=True)
+    assert not np.array_equal(A, B)
+    out = np.empty((n, 3), order="F")
+    assert q_times2(W, out=out) is out
+    assert np.array_equal(R, R2) and np.array_equal(QW, out)
+    assert np.allclose(q_times(R), A)
+
+
 def test_compress_zero_and_rank_zero():
     Z = lr.zero_factor(10)
     assert lr.compress(Z, 1e-10).rank == 0
