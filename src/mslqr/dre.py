@@ -2,29 +2,25 @@
 
 The equation M X' M = M X A + A^T X M + C^T Q C - M X B R^-1 B^T X M
 (A = -S) is split into its affine and quadratic parts.  The affine flow
-propagates factor columns by solving M v' = -S v with Crank-Nicolson
-substeps and accumulates the output Gramian by a trapezoidal rule whose
-nodes sit on the same substep grid; flow time and quadrature therefore
-share one SPD factorization of (M + dt/2 S) per run and the discrete
-affine flow composes exactly (two half-steps equal one full step).  The
-output Gramian of a flow length does not depend on the factor, so it is
-computed once per run and each affine step only propagates the factor's
-own columns.  The quadratic flow is the closed-form rank-r update from the
+propagates factor columns by Crank-Nicolson substeps Phi of M v' = -S v
+and adds the output Gramian, summed by a trapezoidal rule whose nodes sit
+on the same substep grid, so one SPD factorization of (M + dt/2 S) serves
+both.  The quadratic flow is the closed-form rank-r update from the
 low-rank algebra.
 
-`solve_dre` steps in a subspace that holds every factor of the run: the
-span of the snapshots Phi^k [M^-1 C^T, X0.L] of the Crank-Nicolson substep
-Phi (`_FlowSubspace`).  One pass streams the p + rank(X0) snapshot
-columns through the step factor, and the half-step flow becomes the m x m
-matrix U^T Phi^substeps U, formed with one solve of U's m columns per
-substep; the same `strang_step` then steps m-dimensional coordinates.
-Projecting onto a subspace that holds the solution follows Koskela and
-Mena, "A structure preserving Krylov subspace method for large scale
-differential Riccati equations" (2017).  On the `grid` reference system
-(n=3969, n_t=16) the step factor solves 313 columns instead of 1985
-(m=46), and the solve takes about a third of the time of full-space
-stepping, which propagates all r factor columns through every substep;
-at n_t=256 it solves 2277 columns instead of 35881 (m=57).
+Every factor of a run lies in the span of the snapshots
+Phi^k [M^-1 C^T, X0.L] over the run's 2 n_t substeps substeps, so a run
+steps in that span.  Its `FlowCache` streams the p + rank(X0) snapshot
+columns through the step factor once, and turns the affine half-step into
+the m x m matrix U^T Phi^substeps U and an m-dimensional Gramian factor;
+`strang_step` then steps m-dimensional coordinates.  Projecting onto a
+subspace that holds the solution follows Koskela and Mena, "A structure
+preserving Krylov subspace method for large scale differential Riccati
+equations" (2017).  On the `grid` reference system (n=3969, n_t=16) the
+step factor solves 313 columns instead of 1985 (m=46), and the solve
+takes about a third of the time of full-space stepping, which propagates
+all r factor columns through every substep; at n_t=256 it solves 2277
+columns instead of 35881 (m=57).
 
 M + dt/2 S and M are factored by the one SPD rule, `factor_spd`, with
 diagonal pivots.  A system assembled on a mesh is factored in the mesh's
@@ -42,7 +38,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from types import SimpleNamespace
+from numbers import Integral
 
 import numpy as np
 import scipy.linalg as sla
@@ -60,7 +56,7 @@ class SolverConfig:
 
     ``substeps`` is the number of Crank-Nicolson intervals inside each
     half-step of the splitting; the output-Gramian quadrature uses the same
-    grid.
+    grid.  ``n_t`` and ``substeps`` must be integers of at least 1.
     """
 
     T: float = 1.0
@@ -71,6 +67,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive and finite, got {self.T!r}")
+        for name in ("n_t", "substeps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_t < 1 or self.substeps < 1:
             raise ValueError("n_t and substeps must be at least 1")
         if not 0 <= self.compress_tol < 1:
@@ -105,84 +105,6 @@ def crank_nicolson_ops(system: LqrSystem, dt: float):
             permuted(system.M - (0.5 * dt) * system.S, order))
 
 
-class FlowCache:
-    """Factorizations and output Gramians reused across a whole run.
-
-    `apply_exp_F` and `strang_step` step with it in the full space, for
-    any flow length, and read the system and configuration it holds.
-    `solve_dre` builds one per run, and steps in the span of the run's
-    snapshots (`_FlowSubspace`) that its step factor produces.
-    """
-
-    def __init__(self, system: LqrSystem, cfg: SolverConfig):
-        self.system = system
-        self.cfg = cfg
-        self.dt_base = (0.5 * cfg.tau) / cfg.substeps
-        self.order = system.order
-        self._ops = {}
-        self._gramians = {}
-        if system.p > 0 and np.any(system.Q):
-            # W = M^-1 C^T in the factor order; the mass factor is dropped
-            # at once: at n=65025 it holds 4.92M nonzeros, and no later
-            # step uses it
-            self.W = factor_spd(system.M, self.order, splu=splu).solve(
-                _gather(system.C.T, self.order))
-        else:
-            self.W = None
-
-    def step_ops(self, dt: float):
-        key = float(dt)
-        if key not in self._ops:
-            self._ops[key] = crank_nicolson_ops(self.system, dt)
-        return self._ops[key]
-
-    def substeps(self, t: float):
-        """Number and length of the Crank-Nicolson substeps over [0, t]."""
-        n_steps = max(1, int(round(t / self.dt_base)))
-        return n_steps, t / n_steps
-
-    def states(self, t: float, V: np.ndarray):
-        """Yield the columns V propagated to each node of the substep grid
-        of [0, t], starting with V itself; V and the states are in the
-        factor order."""
-        n_steps, dt = self.substeps(t)
-        lu, Mminus = self.step_ops(dt)
-        yield V
-        for _ in range(n_steps):
-            V = lu.solve(Mminus @ V)
-            yield V
-
-    def propagate(self, t: float, V: np.ndarray) -> np.ndarray:
-        """The columns V propagated over [0, t], in the system's order."""
-        for V in self.states(t, _gather(V, self.order)):
-            pass
-        return _scatter(V, self.order)
-
-    def gramian(self, t: float) -> LowRankFactor | None:
-        """Output Gramian sum_j w_j Phi_j W Q W^T Phi_j^T of the flow over
-        [0, t] (trapezoid weights w on the substep grid), or None without an
-        output term.  Computed once per t and compressed at tolerance zero,
-        so only roundoff-level spectrum is dropped."""
-        if self.W is None:
-            return None
-        key = float(t)
-        if key not in self._gramians:
-            snaps = list(self.states(t, self.W))
-            _, dt = self.substeps(t)
-            G = LowRankFactor(_scatter(np.hstack(snaps), self.order),
-                              _trapezoid_core(len(snaps), dt, self.system.Q))
-            self._gramians[key] = compress(G, 0.0)
-        return self._gramians[key]
-
-
-def _trapezoid_core(n_nodes: int, dt: float, Q: np.ndarray) -> np.ndarray:
-    """Core blockdiag(w_j Q) of the output Gramian's trapezoidal rule with
-    n_nodes nodes dt apart."""
-    w = np.full(n_nodes, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return sla.block_diag(*(wj * Q for wj in w))
-
-
 # Directions of the snapshot basis whose singular value is below this share
 # of the largest are dropped.  On the `grid` reference system (n=3969) it
 # keeps m=46 columns at n_t=16 and m=57 at n_t=256, and every checkpoint
@@ -199,38 +121,47 @@ _SPAN_FLOOR = 1e-15
 _SPAN_CHUNK = 16
 
 
-class _FlowSubspace:
-    """The affine flow of one run, restricted to the span of its snapshots.
+class FlowCache:
+    """The affine half-step flow of one run, in the span of its snapshots.
 
-    With X the compressed initial factor and W = M^-1 C^T, every factor of
-    a run lies in the span of the snapshots Phi^k [W, X.L], k = 0..K, of
-    the Crank-Nicolson substep Phi over the K = 2 n_t substeps substeps of
-    the run: an affine half-step propagates the factor by Phi^substeps and
-    appends the Gramian's columns Phi^j W, j <= substeps, the quadratic
-    flow keeps L, and `compress` recombines columns.  The snapshots are
-    streamed through the run's step factor once, p + rank(X) columns per
-    substep, with the columns of [W, X.L] scaled to unit norm.  Every
-    `_SPAN_CHUNK` columns, U Sigma of the snapshots so far and the new
+    With X the initial factor and W = M^-1 C^T, every factor of a run lies
+    in the span of the snapshots Phi^k [W, X.L], k = 0..K, of the
+    Crank-Nicolson substep Phi (dt = tau / (2 substeps)) over the
+    K = 2 n_t substeps substeps of the run: an affine half-step propagates
+    the factor by Phi^substeps and appends the Gramian's columns Phi^j W,
+    j <= substeps, the quadratic flow keeps L, and `compress` recombines
+    columns.  The constructor factors M for W and drops the factor, factors
+    the step matrix once, and streams the snapshots through it, p + rank(X)
+    columns per substep, with the columns of [W, X.L] scaled to unit norm.
+    Every `_SPAN_CHUNK` columns, U Sigma of the snapshots so far and the new
     columns go through one thin QR and an SVD of its R, truncated at
     `_SPAN_FLOOR` times the largest singular value; the orthonormal basis
     U (factor order) has the m columns left at the end.
 
-    The object has the `FlowCache` interface that `apply_exp_F` and
-    `strang_step` use, for the half-step tau/2 only, on coordinates Y with
-    L = U Y: `propagate` multiplies by T = U^T Phi^substeps U, `gramian`
-    is the output Gramian in coordinates (formed on first use) and
-    `system` carries n = m, U^T B and R.  `lift` maps coordinates back.
+    A flow steps coordinates Y with L = U Y (`coordinates`, `lift`).  It
+    keeps U, the half-step propagator T = U^T Phi^substeps U, the output
+    Gramian sum_j w_j (U^T Phi^j W) Q (U^T Phi^j W)^T of a half-step
+    (trapezoid weights w on the substep grid, compressed at tolerance zero;
+    None without an output term), U^T B and R, and no factorization.
     """
 
-    def __init__(self, cache: FlowCache, X: LowRankFactor):
-        self.cfg, self.order = cache.cfg, cache.order
-        self.half = 0.5 * cache.cfg.tau
-        system = cache.system
-        n_sub, dt = cache.substeps(self.half)
-        lu, Mminus = cache.step_ops(dt)
-        p = 0 if cache.W is None else cache.W.shape[1]
-        V = np.hstack([cache.W if p else np.zeros((system.n, 0)),
-                       _gather(X.L, self.order)])
+    def __init__(self, system: LqrSystem, cfg: SolverConfig,
+                 X: LowRankFactor):
+        if X.n != system.n:
+            raise ValueError("initial factor does not match the system size")
+        self.cfg, self.order = cfg, system.order
+        n_sub = cfg.substeps
+        dt = (0.5 * cfg.tau) / n_sub
+        if system.p > 0 and np.any(system.Q):
+            # W = M^-1 C^T in the factor order; the mass factor is dropped
+            # at once: at n=65025 it holds 4.92M nonzeros
+            W = factor_spd(system.M, self.order, splu=splu).solve(
+                _gather(system.C.T, self.order))
+        else:
+            W = np.zeros((system.n, 0))
+        p = W.shape[1]
+        lu, Mminus = crank_nicolson_ops(system, dt)
+        V = np.hstack([W, _gather(X.L, self.order)])
         scale = np.linalg.norm(V, axis=0)
         scale[scale == 0] = 1.0
         V = V / scale
@@ -242,7 +173,7 @@ class _FlowSubspace:
                 np.empty((system.n, 0), order="F")]
         sig, c = np.zeros(0), 0
         gram = [V[:, :p] * scale[:p]]
-        for k in range(2 * self.cfg.n_t * n_sub + 1 if w else 0):
+        for k in range(2 * cfg.n_t * n_sub + 1 if w else 0):
             if k:
                 V = lu.solve(Mminus @ V)
                 if p and k <= n_sub:
@@ -256,38 +187,29 @@ class _FlowSubspace:
         m = sig.size
         self.U = bufs[0][:, :m]
         self.U /= sig
-        del bufs
         # T = U^T Phi^substeps U, a chunk of columns at a time
-        self._T = np.empty((m, m))
+        self.T = np.empty((m, m))
         for j in range(0, m, chunk):
-            for Phi_U in cache.states(self.half, self.U[:, j:j + chunk]):
-                pass
-            self._T[:, j:j + chunk] = self.U.T @ Phi_U
-        self._gram_L = self.U.T @ np.hstack(gram) if p and m else None
-        self._gram_core = _trapezoid_core(n_sub + 1, dt, system.Q)
-        self._gram = None
-        self.system = SimpleNamespace(
-            n=m, B=self.U.T @ _gather(system.B, self.order), R=system.R)
+            V = self.U[:, j:j + chunk]
+            for _ in range(n_sub):
+                V = lu.solve(Mminus @ V)
+            self.T[:, j:j + chunk] = self.U.T @ V
+        self.gramian = None
+        if p and m:
+            weights = np.full(n_sub + 1, dt)
+            weights[0] = weights[-1] = 0.5 * dt
+            core = sla.block_diag(*(wj * system.Q for wj in weights))
+            try:
+                self.gramian = compress(
+                    LowRankFactor(self.U.T @ np.hstack(gram), core), 0.0)
+            except FloatingPointError as exc:
+                raise FloatingPointError(f"output Gramian: {exc}") from exc
+        self.B = self.U.T @ _gather(system.B, self.order)
+        self.R = system.R
 
     @property
     def dim(self) -> int:
         return self.U.shape[1]
-
-    def _check(self, t: float):
-        if t != self.half:
-            raise ValueError(f"the subspace holds the flow over "
-                             f"{self.half!r} only, not {t!r}")
-
-    def propagate(self, t: float, V: np.ndarray) -> np.ndarray:
-        self._check(t)
-        return self._T @ V
-
-    def gramian(self, t: float) -> LowRankFactor | None:
-        self._check(t)
-        if self._gram is None and self._gram_L is not None:
-            self._gram = compress(
-                LowRankFactor(self._gram_L, self._gram_core), 0.0)
-        return self._gram
 
     def coordinates(self, F: LowRankFactor) -> LowRankFactor:
         """Coordinates of a factor whose columns lie in the span of U."""
@@ -313,48 +235,35 @@ def _absorb(bufs: list, k: int, spare: int) -> np.ndarray:
     return sig
 
 
-def apply_exp_F(t: float, F: LowRankFactor, cache: FlowCache
-                ) -> LowRankFactor:
-    """Affine Riccati flow: propagated factor plus the output Gramian.
-
-    The propagated part (`propagate`) solves M v' = -S v for the factor
-    columns; the Gramian (`gramian`, computed once per t) sums trapezoid
-    nodes Phi_s M^-1 C^T with core weights w Q.  The result is compressed
-    at the configured tolerance.  ``cache`` is a `FlowCache`, or the
-    snapshot subspace of a `solve_dre` run, whose factors are coordinates.
-    """
-    if t < 0:
-        raise ValueError("flow time must be nonnegative")
-    if t == 0.0:
-        return F.copy()
-    G = cache.gramian(t)
+def apply_exp_F(F: LowRankFactor, flow: FlowCache) -> LowRankFactor:
+    """Affine Riccati flow over tau/2 of a factor in ``flow``'s
+    coordinates: the factor propagated by T = U^T Phi^substeps U, plus the
+    output Gramian, compressed at the configured tolerance."""
     blocks_L, blocks_D = [], []
     if F.rank:
-        blocks_L.append(cache.propagate(t, F.L))
+        blocks_L.append(flow.T @ F.L)
         blocks_D.append(F.D)
-    if G is not None:
-        blocks_L.append(G.L)
-        blocks_D.append(G.D)
+    if flow.gramian is not None:
+        blocks_L.append(flow.gramian.L)
+        blocks_D.append(flow.gramian.D)
     if not blocks_L:
-        return zero_factor(cache.system.n)
+        return zero_factor(flow.dim)
     out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
-    return compress(out, cache.cfg.compress_tol)
+    return compress(out, flow.cfg.compress_tol)
 
 
-def strang_step(tau: float, F: LowRankFactor, cache: FlowCache
-                ) -> LowRankFactor:
-    """One step exp(tau/2 F) exp(tau G) exp(tau/2 F), compressed between
-    the stages.  A NaN or Inf raises FloatingPointError naming the stage."""
-    if tau <= 0:
-        raise ValueError("step size must be positive")
-    system, tol = cache.system, cache.cfg.compress_tol
+def strang_step(F: LowRankFactor, flow: FlowCache) -> LowRankFactor:
+    """One step exp(tau/2 F) exp(tau G) exp(tau/2 F) of a factor in
+    ``flow``'s coordinates, compressed between the stages.  A NaN or Inf
+    raises FloatingPointError naming the stage."""
+    tol = flow.cfg.compress_tol
     stage = "first affine half-step"
     try:
-        Y = apply_exp_F(0.5 * tau, F, cache)
+        Y = apply_exp_F(F, flow)
         stage = "quadratic flow"
-        Y = compress(apply_exp_G(tau, Y, system.B, system.R), tol)
+        Y = compress(apply_exp_G(flow.cfg.tau, Y, flow.B, flow.R), tol)
         stage = "second affine half-step"
-        return apply_exp_F(0.5 * tau, Y, cache)
+        return apply_exp_F(Y, flow)
     except FloatingPointError as exc:
         raise FloatingPointError(f"{stage}: {exc}") from exc
 
@@ -362,7 +271,9 @@ def strang_step(tau: float, F: LowRankFactor, cache: FlowCache
 @dataclass
 class DreSolution:
     """Result of one Riccati solve; ``subspace_dim`` is the dimension m of
-    the snapshot span the run was stepped in."""
+    the snapshot span the run was stepped in, and ``timings`` holds the
+    seconds of its ``setup`` (compressing X0 and building the `FlowCache`)
+    and its ``total``."""
 
     final: LowRankFactor
     checkpoints: list | None
@@ -380,30 +291,25 @@ def solve_dre(system: LqrSystem, X0: LowRankFactor, cfg: SolverConfig,
     A NaN or Inf raises FloatingPointError, naming the failing step and
     its stage.
     """
-    if X0.n != system.n:
-        raise ValueError("initial factor does not match the system size")
     with single_thread_blas():
         wall0 = time.perf_counter()
-        cache = FlowCache(system, cfg)
-        timings = {"setup": time.perf_counter() - wall0}
         X = compress(X0, cfg.compress_tol)
-        span0 = time.perf_counter()
-        span = _FlowSubspace(cache, X)
-        timings["subspace"] = time.perf_counter() - span0
+        flow = FlowCache(system, cfg, X)
+        timings = {"setup": time.perf_counter() - wall0}
         ranks = [X.rank]
         cps = [X.copy()] if store_checkpoints else None
-        Y = span.coordinates(X)
+        Y = flow.coordinates(X)
         for j in range(cfg.n_t):
             try:
-                Y = strang_step(cfg.tau, Y, span)
+                Y = strang_step(Y, flow)
             except FloatingPointError as exc:
                 raise FloatingPointError(
                     f"Strang step {j + 1} of {cfg.n_t}, {exc}") from exc
             ranks.append(Y.rank)
             if store_checkpoints:
-                cps.append(span.lift(Y))
+                cps.append(flow.lift(Y))
         timings["total"] = time.perf_counter() - wall0
-        return DreSolution(span.lift(Y), cps, ranks, timings, cfg, span.dim)
+        return DreSolution(flow.lift(Y), cps, ranks, timings, cfg, flow.dim)
 
 
 @dataclass

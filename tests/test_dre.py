@@ -11,7 +11,7 @@ from mslqr import bench, dre, norms
 from mslqr import mesh as mm
 from mslqr.dre import (DreSolution, FlowCache, SolverConfig, apply_exp_F,
                        simulate_closed_loop, solve_dre, strang_step)
-from mslqr.lowrank import LowRankFactor, compress, zero_factor
+from mslqr.lowrank import LowRankFactor, apply_exp_G, compress, zero_factor
 
 
 def unit_square_level(j):
@@ -73,13 +73,43 @@ def rk4_riccati(system, T, n_steps):
 
 # -- affine flow -----------------------------------------------------------
 
-def test_exp_f_time_zero_is_identity():
-    system = small_system()
-    cfg = SolverConfig(T=1.0, n_t=8)
-    rng = np.random.default_rng(0)
-    F = LowRankFactor(rng.standard_normal((system.n, 3)), np.eye(3))
-    out = apply_exp_F(0.0, F, FlowCache(system, cfg))
-    assert np.allclose(out.to_dense(), F.to_dense())
+def full_space_exp_F(t, F, system, cfg):
+    """Reference affine flow over t in the full space: the factor and the
+    output snapshots of a dense W = M^-1 C^T propagated together by
+    Crank-Nicolson substeps of the solver's length tau / (2 substeps), the
+    snapshots weighted by the trapezoidal rule, compressed once."""
+    has_gram = system.p > 0 and np.any(system.Q)
+    r = F.rank
+    if r == 0 and not has_gram:
+        return zero_factor(system.n)
+    n_steps = max(1, int(round(t / (0.5 * cfg.tau / cfg.substeps))))
+    dt = t / n_steps
+    lu, Mminus = dre.crank_nicolson_ops(system, dt)
+    W = (np.linalg.solve(system.M.toarray(), system.C.T) if has_gram
+         else np.zeros((system.n, 0)))
+    V = dre._gather(np.hstack([F.L, W]), system.order)
+    snaps = [W]
+    for _ in range(n_steps):
+        V = lu.solve(Mminus @ V)
+        snaps.append(dre._scatter(V[:, r:], system.order))
+    blocks_L = [dre._scatter(V[:, :r], system.order)] if r else []
+    blocks_D = [F.D] if r else []
+    if has_gram:
+        w = np.full(n_steps + 1, dt)
+        w[0] = w[-1] = 0.5 * dt
+        for wj, Z in zip(w, snaps):
+            blocks_L.append(Z)
+            blocks_D.append(wj * system.Q)
+    out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
+    return compress(out, cfg.compress_tol)
+
+
+def full_space_strang_step(F, system, cfg):
+    """Reference Strang step with `full_space_exp_F` as the affine flow."""
+    Y = full_space_exp_F(0.5 * cfg.tau, F, system, cfg)
+    Y = compress(apply_exp_G(cfg.tau, Y, system.B, system.R),
+                 cfg.compress_tol)
+    return full_space_exp_F(0.5 * cfg.tau, Y, system, cfg)
 
 
 def test_exp_f_scalar_decay():
@@ -87,50 +117,58 @@ def test_exp_f_scalar_decay():
     system = scalar_system(m=2.0, a=3.0, c=0.0, q=0.0)
     cfg = SolverConfig(T=1.0, n_t=1, substeps=256)
     F = LowRankFactor(np.array([[1.0]]), np.array([[0.9]]))
-    t = 0.5
-    out = apply_exp_F(t, F, FlowCache(system, cfg))
-    exact = 0.9 * np.exp(-2 * t * 3.0 / 2.0)
+    flow = FlowCache(system, cfg, F)
+    out = flow.lift(apply_exp_F(flow.coordinates(F), flow))
+    exact = 0.9 * np.exp(-2 * 0.5 * 3.0 / 2.0)
     assert out.to_dense()[0, 0] == pytest.approx(exact, rel=1e-4)
 
 
 def test_exp_f_gramian_only():
     system = small_system()
     cfg = SolverConfig(T=1.0, n_t=8, substeps=4)
-    out = apply_exp_F(cfg.tau / 2, zero_factor(system.n),
-                      FlowCache(system, cfg))
+    X0 = zero_factor(system.n)
+    flow = FlowCache(system, cfg, X0)
+    out = apply_exp_F(flow.coordinates(X0), flow)
     nodes = cfg.substeps + 1
     assert 0 < out.rank <= nodes * system.p
     lam = np.linalg.eigvalsh(out.D)
     assert lam.min() >= -1e-12 * lam.max()
+    want = full_space_exp_F(cfg.tau / 2, X0, system, cfg)
+    assert out.rank == want.rank
+    X_got, X_want = flow.lift(out).to_dense(), want.to_dense()
+    assert (np.linalg.norm(X_got - X_want, 2)
+            <= 1e-12 * np.linalg.norm(X_want, 2))
 
 
 def test_exp_f_semigroup_composition():
+    # two half-steps of the flow compose to the full-space flow over tau
     system = small_system()
     cfg = SolverConfig(T=1.0, n_t=16, substeps=4, compress_tol=1e-10)
-    cache = FlowCache(system, cfg)
     rng = np.random.default_rng(1)
     L = rng.standard_normal((system.n, 4))
     F = LowRankFactor(L, np.diag(rng.uniform(0.5, 1.0, 4)))
-    tau = cfg.tau
-    once = apply_exp_F(tau, F, cache)
-    twice = apply_exp_F(tau / 2, apply_exp_F(tau / 2, F, cache), cache)
+    flow = FlowCache(system, cfg, F)
+    once = full_space_exp_F(cfg.tau, F, system, cfg)
+    twice = flow.lift(apply_exp_F(apply_exp_F(flow.coordinates(F), flow),
+                                  flow))
     X1, X2 = once.to_dense(), twice.to_dense()
     scale = np.linalg.norm(X1, 2)
     assert np.linalg.norm(X1 - X2, 2) <= 10 * cfg.compress_tol * scale
 
 
-
 def test_flow_cache_keeps_no_mass_factor():
-    # W = M^-1 C^T is formed in the constructor, and the mass factor it
-    # came from is not kept
+    # the constructor factors M for W = M^-1 C^T and M + dt/2 S for the
+    # snapshots, and keeps neither factor, nor M - dt/2 S, nor W
     system = small_system()
-    cache = FlowCache(system, SolverConfig(T=1.0, n_t=16))
-    W = asm.factor_spd(system.M, splu=splu).solve(
-        np.ascontiguousarray(system.C.T))
-    assert np.array_equal(cache.W, W)
-    held = [name for name, value in vars(cache).items()
-            if type(value).__name__ == "SuperLU"]
+    flow = FlowCache(system, SolverConfig(T=1.0, n_t=16),
+                     zero_factor(system.n))
+    held = [name for name, value in vars(flow).items()
+            if type(value).__name__ == "SuperLU" or sp.issparse(value)]
     assert held == []
+    assert set(vars(flow)) == {"cfg", "order", "U", "T", "gramian", "B",
+                               "R"}
+    m = flow.dim
+    assert flow.U.shape == (system.n, m) and flow.T.shape == (m, m)
 
 
 def counting_splu(monkeypatch):
@@ -158,44 +196,14 @@ def test_solve_factors_twice(monkeypatch, n_t):
 def test_warm_cache_factors_nothing(monkeypatch):
     system = small_system()
     cfg = SolverConfig(T=1.0, n_t=8, substeps=4)
-    cache = FlowCache(system, cfg)
     F = LowRankFactor(np.random.default_rng(4).standard_normal((system.n, 2)),
                       np.eye(2))
-    apply_exp_F(cfg.tau / 2, F, cache)
+    flow = FlowCache(system, cfg, F)
+    Y = flow.coordinates(F)
     calls = counting_splu(monkeypatch)
-    apply_exp_F(cfg.tau / 2, F, cache)
-    strang_step(cfg.tau, F, cache)
+    apply_exp_F(Y, flow)
+    strang_step(Y, flow)
     assert calls == []
-
-
-def snapshot_exp_F(t, F, system, cfg, cache):
-    """The affine flow with the factor and the output snapshots propagated
-    together and compressed once, as it was before the Gramian was cached
-    per flow length."""
-    has_gram = cache.W is not None
-    r = F.rank
-    if r == 0 and not has_gram:
-        return zero_factor(system.n)
-    n_steps = max(1, int(round(t / cache.dt_base)))
-    dt = t / n_steps
-    lu, Mminus = cache.step_ops(dt)
-    parts = ([F.L] if r else []) + ([cache.W] if has_gram else [])
-    V = np.hstack(parts)
-    snaps = [cache.W.copy()] if has_gram else None
-    for _ in range(n_steps):
-        V = lu.solve(Mminus @ V)
-        if has_gram:
-            snaps.append(V[:, r:].copy())
-    blocks_L = [V[:, :r]] if r else []
-    blocks_D = [F.D] if r else []
-    if has_gram:
-        w = np.full(n_steps + 1, dt)
-        w[0] = w[-1] = 0.5 * dt
-        for wj, Z in zip(w, snaps):
-            blocks_L.append(Z)
-            blocks_D.append(wj * system.Q)
-    out = LowRankFactor(np.hstack(blocks_L), sla.block_diag(*blocks_D))
-    return compress(out, cfg.compress_tol)
 
 
 def random_system(n, p, seed):
@@ -214,25 +222,23 @@ def random_system(n, p, seed):
 
 @settings(max_examples=40)
 @given(n=st.integers(1, 24), p=st.integers(1, 3), r=st.integers(0, 6),
-       substeps=st.integers(1, 5), t_over_tau=st.sampled_from([0.5, 1.0, 0.3]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cached_gramian_matches_snapshot_flow(n, p, r, substeps, t_over_tau,
-                                              seed):
+       substeps=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_cached_gramian_matches_snapshot_flow(n, p, r, substeps, seed):
+    # the half-step with the flow's Gramian, formed once in coordinates,
+    # against the full-space flow that propagates the factor and the output
+    # snapshots together
     system = random_system(n, p, seed)
     cfg = SolverConfig(T=1.0, n_t=8, substeps=substeps)
-    cache = FlowCache(system, cfg)
     rng = np.random.default_rng(seed + 1)
     F = LowRankFactor(rng.standard_normal((n, r)),
                       np.diag(rng.uniform(0.1, 1.0, r)))
-    t = t_over_tau * cfg.tau
-    got = apply_exp_F(t, F, cache)
-    want = snapshot_exp_F(t, F, system, cfg, cache)
+    flow = FlowCache(system, cfg, F)
+    got = apply_exp_F(flow.coordinates(F), flow)
+    want = full_space_exp_F(cfg.tau / 2, F, system, cfg)
     assert got.rank == want.rank
-    X_got, X_want = got.to_dense(), want.to_dense()
+    X_got, X_want = flow.lift(got).to_dense(), want.to_dense()
     assert (np.linalg.norm(X_got - X_want, 2)
             <= 1e-12 * np.linalg.norm(X_want, 2))
-    # a second flow of the same length reuses the same Gramian factor
-    assert cache.gramian(t) is cache.gramian(t)
 
 
 @pytest.mark.parametrize("q, extra", [(1.0, 1), (0.0, 0)])
@@ -260,7 +266,8 @@ def test_solve_compresses_the_gramian_once(monkeypatch, q, extra):
 def test_strang_scalar_against_closed_form_subflows():
     m, a, b, c, q, rho = 1.0, 2.0, 1.5, 0.8, 1.0, 1.0
     system = scalar_system(m, a, b, c, q, rho)
-    cfg = SolverConfig(T=1.0, n_t=1, substeps=512, compress_tol=0.0)
+    # 51 substeps of 0.05/51 per half-step
+    cfg = SolverConfig(T=0.1, n_t=1, substeps=51, compress_tol=0.0)
     tau = 0.1
     lam = 2 * a / m
     gram = c * c * q / (m * m)
@@ -275,7 +282,8 @@ def test_strang_scalar_against_closed_form_subflows():
     x0 = 0.7
     expected = exact_F(tau / 2, exact_G(tau, exact_F(tau / 2, x0)))
     F = LowRankFactor(np.array([[1.0]]), np.array([[x0]]))
-    out = strang_step(tau, F, FlowCache(system, cfg))
+    flow = FlowCache(system, cfg, F)
+    out = flow.lift(strang_step(flow.coordinates(F), flow))
     assert out.to_dense()[0, 0] == pytest.approx(expected, rel=1e-6)
 
 
@@ -284,12 +292,12 @@ def test_strang_no_input_equals_affine_flow():
     system = asm.LqrSystem(M=base.M, S=base.S, B=np.zeros((base.n, 1)),
                            C=base.C)
     cfg = SolverConfig(T=0.5, n_t=8, substeps=4)
-    cache = FlowCache(system, cfg)
     rng = np.random.default_rng(2)
     F = LowRankFactor(rng.standard_normal((system.n, 3)),
                       np.diag(rng.uniform(0.1, 1.0, 3)))
-    stepped = strang_step(cfg.tau, F, cache)
-    direct = apply_exp_F(cfg.tau, F, cache)
+    flow = FlowCache(system, cfg, F)
+    stepped = flow.lift(strang_step(flow.coordinates(F), flow))
+    direct = full_space_exp_F(cfg.tau, F, system, cfg)
     X1, X2 = stepped.to_dense(), direct.to_dense()
     assert np.linalg.norm(X1 - X2, 2) <= 1e-9 * np.linalg.norm(X2, 2)
 
@@ -355,20 +363,17 @@ def test_solve_is_repeated_strang_steps():
     cfg = SolverConfig(T=1.0, n_t=16, substeps=2)
     sol = solve_dre(system, zero_factor(system.n), cfg)
     X = compress(zero_factor(system.n), cfg.compress_tol)
-    span = dre._FlowSubspace(FlowCache(system, cfg), X)
-    assert sol.subspace_dim == span.dim > 0
-    Y = span.coordinates(X)
+    flow = FlowCache(system, cfg, X)
+    assert sol.subspace_dim == flow.dim > 0
+    Y = flow.coordinates(X)
     ranks = [Y.rank]
     for _ in range(cfg.n_t):
-        Y = strang_step(cfg.tau, Y, span)
+        Y = strang_step(Y, flow)
         ranks.append(Y.rank)
-    final = span.lift(Y)
+    final = flow.lift(Y)
     assert np.array_equal(sol.final.L, final.L)
     assert np.array_equal(sol.final.D, final.D)
     assert sol.rank_history == ranks
-    # the subspace holds the flow over tau/2 only
-    with pytest.raises(ValueError, match="holds the flow"):
-        span.propagate(cfg.tau, Y.L)
 
 
 @settings(max_examples=40)
@@ -388,11 +393,10 @@ def test_solve_matches_full_space_steps(n, p, r, q_zero, substeps, n_t,
     X0 = LowRankFactor(rng.standard_normal((n, r)),
                        np.diag(rng.uniform(0.1, 1.0, r)))
     sol = solve_dre(system, X0, cfg, store_checkpoints=True)
-    cache = FlowCache(system, cfg)
     X = compress(X0, cfg.compress_tol)
     want, ranks = [X], [X.rank]
     for _ in range(n_t):
-        X = strang_step(cfg.tau, X, cache)
+        X = full_space_strang_step(X, system, cfg)
         want.append(X)
         ranks.append(X.rank)
     assert sol.rank_history == ranks
@@ -429,7 +433,7 @@ def test_reference_solve_steps_snapshot_columns(monkeypatch):
     m, p, n_sub = sol.subspace_dim, system.p, cfg.substeps
     assert 0 < m < 100
     assert sum(columns) <= 2 * cfg.n_t * n_sub * p + n_sub * m + p
-    assert sol.timings["subspace"] > 0
+    assert 0 < sol.timings["setup"] < sol.timings["total"]
     assert sol.rank_history[-1] == sol.final.rank > 0
 
 
@@ -515,16 +519,15 @@ def test_closed_loop_refuses_bad_x0_before_factoring(monkeypatch, x0, match):
     assert calls == []
 
 
-def test_solver_rejects_mismatched_factor():
+def test_solver_rejects_mismatched_factor(monkeypatch):
     system = small_system(level=1, seed=60)
     cfg = SolverConfig(T=1.0, n_t=4, substeps=2)
-    with pytest.raises(ValueError):
+    calls = counting_splu(monkeypatch)
+    with pytest.raises(ValueError, match="does not match the system size"):
         solve_dre(system, zero_factor(system.n + 1), cfg)
-    cache = FlowCache(system, cfg)
-    with pytest.raises(ValueError):
-        apply_exp_F(-1.0, zero_factor(system.n), cache)
-    with pytest.raises(ValueError):
-        strang_step(0.0, zero_factor(system.n), cache)
+    with pytest.raises(ValueError, match="does not match the system size"):
+        FlowCache(system, cfg, zero_factor(system.n + 1))
+    assert calls == []
 
 
 def test_non_finite_values_raise(monkeypatch):
@@ -533,11 +536,12 @@ def test_non_finite_values_raise(monkeypatch):
     X0 = LowRankFactor(np.full((system.n, 1), np.nan), np.eye(1))
     with pytest.raises(FloatingPointError, match="non-finite"):
         solve_dre(system, X0, cfg)
-    # a NaN output weight first shows in the output Gramian of step 1
+    # a NaN output weight shows in the output Gramian, which the flow
+    # forms before the first step
     bad = asm.LqrSystem(M=system.M, S=system.S, B=system.B, C=system.C,
                         Q=np.nan)
     with pytest.raises(FloatingPointError,
-                       match="Strang step 1 of 4, first affine half-step"):
+                       match="^output Gramian: compress: non-finite"):
         solve_dre(bad, zero_factor(system.n), cfg)
 
     # a stage handed a NaN factor is named too
@@ -551,9 +555,9 @@ def test_non_finite_values_raise(monkeypatch):
             solve_dre(system, zero_factor(system.n), cfg)
     real_exp_F, calls = dre.apply_exp_F, []
 
-    def fourth_call_poisoned(t, F, *args):
-        calls.append(t)
-        return real_exp_F(t, poisoned(F) if len(calls) == 4 else F, *args)
+    def fourth_call_poisoned(F, flow):
+        calls.append(F)
+        return real_exp_F(poisoned(F) if len(calls) == 4 else F, flow)
 
     monkeypatch.setattr(dre, "apply_exp_F", fourth_call_poisoned)
     with pytest.raises(FloatingPointError,
@@ -561,7 +565,7 @@ def test_non_finite_values_raise(monkeypatch):
         solve_dre(system, zero_factor(system.n), cfg)
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(ValueError):
         SolverConfig(T=0.0)
     for T in (np.nan, np.inf):
@@ -575,6 +579,17 @@ def test_config_validation():
         SolverConfig(compress_tol=-1e-3)
     with pytest.raises(ValueError, match="compress_tol"):
         SolverConfig(compress_tol=1.0)
+    # a fractional, boolean or string step count is refused before any
+    # factorization, in one line that names the field
+    calls = counting_splu(monkeypatch)
+    for name, value in [("n_t", 2.5), ("n_t", True), ("n_t", np.float64(4)),
+                        ("n_t", "4"), ("substeps", 1.5),
+                        ("substeps", False)]:
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got "):
+            SolverConfig(**{name: value})
+    assert calls == []
+    assert SolverConfig(n_t=np.int64(4), substeps=np.int32(2)).tau == 0.25
 
 
 def test_dissection_order_fills_less_than_colamd():
