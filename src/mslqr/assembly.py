@@ -306,7 +306,8 @@ class LqrSystem:
     Riccati solver then factors M and the Crank-Nicolson matrix in its
     nested-dissection order (`order`), and otherwise lets `factor_spd`
     order them by minimum degree.  Shapes that do not fit n, m = B's
-    columns and p = C's rows raise ValueError before any factorization.
+    columns and p = C's rows, and a NaN or an Inf in any of the six
+    matrices, raise ValueError before any factorization.
     """
 
     M: sp.csr_matrix
@@ -332,9 +333,13 @@ class LqrSystem:
         n, m, p = self.n, self.m, self.p
         for name, want in (("M", (n, n)), ("S", (n, n)), ("B", (n, m)),
                            ("C", (p, n)), ("Q", (p, p)), ("R", (m, m))):
-            got = tuple(getattr(self, name).shape)
+            value = getattr(self, name)
+            got = tuple(value.shape)
             if got != want:
                 raise ValueError(f"{name} has shape {got}, expected {want}")
+            if not np.isfinite(value.data if sp.issparse(value)
+                               else value).all():
+                raise ValueError(f"{name} holds a NaN or an Inf")
 
     @property
     def n(self) -> int:

@@ -11,16 +11,16 @@ low-rank algebra.
 Every factor of a run lies in the span of the snapshots
 Phi^k [M^-1 C^T, X0.L] over the run's 2 n_t substeps substeps, so a run
 steps in that span.  Its `FlowCache` streams the p + rank(X0) snapshot
-columns through the step factor once, and turns the affine half-step into
-the m x m matrix U^T Phi^substeps U and an m-dimensional Gramian factor;
-`strang_step` then steps m-dimensional coordinates.  Projecting onto a
-subspace that holds the solution follows Koskela and Mena, "A structure
-preserving Krylov subspace method for large scale differential Riccati
-equations" (2017).  On the `grid` reference system (n=3969, n_t=16) the
-step factor solves 313 columns instead of 1985 (m=46), and the solve
-takes about a third of the time of full-space stepping, which propagates
-all r factor columns through every substep; at n_t=256 it solves 2277
-columns instead of 35881 (m=57).
+columns through the step factor once, and that pass is the factor's only
+use.  The affine half-step becomes an m x m propagator T, formed from the
+Galerkin pencil (U^T S U, U^T M U) of the span, and an m-dimensional
+Gramian factor; `strang_step` then steps m-dimensional coordinates.
+Projecting onto a subspace that holds the solution follows Koskela and
+Mena, "A structure preserving Krylov subspace method for large scale
+differential Riccati equations" (2017).  On the `grid` reference system
+(n=3969) the step factor solves 128 columns at n_t=16 (m=46) and 2048 at
+n_t=256 (m=57), against 1985 and 35881 for full-space stepping, which
+propagates all r factor columns through every substep.
 
 M + dt/2 S and M are factored by the one SPD rule, `factor_spd`, with
 diagonal pivots.  A system assembled on a mesh is factored in the mesh's
@@ -108,16 +108,17 @@ def crank_nicolson_ops(system: LqrSystem, dt: float):
 # Directions of the snapshot basis whose singular value is below this share
 # of the largest are dropped.  On the `grid` reference system (n=3969) it
 # keeps m=46 columns at n_t=16 and m=57 at n_t=256, and every checkpoint
-# stays within 1e-14 and 3.3e-14 of full-space stepping (spectral norm,
+# stays within 6.8e-14 and 2.3e-14 of full-space stepping (spectral norm,
 # relative).  4.2e-8, the singular-value equivalent of `compress`'s 8 eps
 # floor, keeps m=25-26 but moves the early checkpoints by up to 1.2e-8.
 _SPAN_FLOOR = 1e-15
-# Snapshot columns collected between two truncated SVDs; the two buffers
-# hold m plus one to two chunks of columns.  On the `grid` reference system
-# the snapshot pass at n_t=256 took 1.28 s with 16 columns, 1.10 s with 32
-# and 1.01 s with 64; the `desk-grid` benchmark's (n_t=16) median peak RSS
-# was 2.7% above the full-space stepping before it with 16 and 5.2% above
-# with 32 (ten alternating pairs each).
+# Snapshot columns collected between two truncated SVDs of the snapshot
+# pass, which is all this sizes; the two buffers hold m plus one to two
+# chunks of columns.  On the `grid` reference system the snapshot pass at
+# n_t=256 took 1.28 s with 16 columns, 1.10 s with 32 and 1.01 s with 64;
+# the `desk-grid` benchmark's (n_t=16) median peak RSS was 2.7% above the
+# full-space stepping before it with 16 and 5.2% above with 32 (ten
+# alternating pairs each).
 _SPAN_CHUNK = 16
 
 
@@ -138,11 +139,23 @@ class FlowCache:
     `_SPAN_FLOOR` times the largest singular value; the orthonormal basis
     U (factor order) has the m columns left at the end.
 
+    The step factor serves only that pass.  The half-step propagator T
+    comes from the Galerkin pencil of the span: with the Ritz pairs
+    (theta, V) of (U^T S U, U^T M U), each Crank-Nicolson substep scales
+    V's columns by r = (1 - dt/2 theta) / (1 + dt/2 theta), so
+    T = V diag(r^substeps) V^T (U^T M U).  Every vector a half-step
+    propagates is the coordinate vector of a combination of snapshots
+    z_k with k <= K - substeps, which Phi maps into span U; there the
+    Galerkin substep is U^T Phi U, and T agrees with
+    U^T Phi^substeps U.  The two differ only along the last substeps
+    snapshots, which no run propagates.  |r| <= 1, so T does not grow
+    the U^T M U norm.
+
     A flow steps coordinates Y with L = U Y (`coordinates`, `lift`).  It
-    keeps U, the half-step propagator T = U^T Phi^substeps U, the output
-    Gramian sum_j w_j (U^T Phi^j W) Q (U^T Phi^j W)^T of a half-step
-    (trapezoid weights w on the substep grid, compressed at tolerance zero;
-    None without an output term), U^T B and R, and no factorization.
+    keeps U, T, the output Gramian sum_j w_j (U^T Phi^j W) Q (U^T Phi^j W)^T
+    of a half-step (trapezoid weights w on the substep grid, compressed at
+    tolerance zero; None without an output term), U^T B and R, and no
+    factorization.
     """
 
     def __init__(self, system: LqrSystem, cfg: SolverConfig,
@@ -184,16 +197,19 @@ class FlowCache:
             c += w
         if w:
             sig = _absorb(bufs, sig.size + c, 0)
+        del lu, Mminus
         m = sig.size
         self.U = bufs[0][:, :m]
         self.U /= sig
-        # T = U^T Phi^substeps U, a chunk of columns at a time
-        self.T = np.empty((m, m))
-        for j in range(0, m, chunk):
-            V = self.U[:, j:j + chunk]
-            for _ in range(n_sub):
-                V = lu.solve(Mminus @ V)
-            self.T[:, j:j + chunk] = self.U.T @ V
+        # T from the Galerkin pencil (U^T S U, U^T M U) of the span
+        self.T = np.zeros((m, m))
+        if m:
+            Us = _scatter(self.U, self.order)
+            Mh, Sh = Us.T @ (system.M @ Us), Us.T @ (system.S @ Us)
+            Mh, Sh = 0.5 * (Mh + Mh.T), 0.5 * (Sh + Sh.T)
+            theta, V = sla.eigh(Sh, Mh)
+            r = (1 - (0.5 * dt) * theta) / (1 + (0.5 * dt) * theta)
+            self.T = (V * r ** n_sub) @ (V.T @ Mh)
         self.gramian = None
         if p and m:
             weights = np.full(n_sub + 1, dt)
@@ -237,8 +253,9 @@ def _absorb(bufs: list, k: int, spare: int) -> np.ndarray:
 
 def apply_exp_F(F: LowRankFactor, flow: FlowCache) -> LowRankFactor:
     """Affine Riccati flow over tau/2 of a factor in ``flow``'s
-    coordinates: the factor propagated by T = U^T Phi^substeps U, plus the
-    output Gramian, compressed at the configured tolerance."""
+    coordinates: the factor propagated by the flow's half-step propagator
+    T (see `FlowCache`), plus the output Gramian, compressed at the
+    configured tolerance."""
     blocks_L, blocks_D = [], []
     if F.rank:
         blocks_L.append(flow.T @ F.L)

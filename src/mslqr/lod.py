@@ -372,23 +372,6 @@ _INTERIOR_CHUNK = 2048
 _DENSE_SKELETON_MAX = 300
 
 
-def _constrained_solve(lu, C, rhs: np.ndarray) -> np.ndarray:
-    """x of the saddle system [[S, C^T], [C, 0]] [x; lam] = [rhs; 0].
-
-    S is sparse SPD, given by its factorization ``lu`` (`factor_spd`), and
-    C has few rows, so the constraints are eliminated through their dense
-    Schur complement Sigma = C S^-1 C^T: one solve with the right-hand
-    sides and C^T together, and a Cholesky solve with Sigma for the
-    multipliers.  Raises LinAlgError when Sigma is not positive definite
-    (C rank deficient).
-    """
-    m = rhs.shape[1]
-    X = lu.solve(np.hstack([rhs, C.T.toarray()]))
-    CX = C @ X
-    lam = sla.solve(CX[:, m:], CX[:, :m], assume_a="pos")
-    return X[:, :m] - X[:, m:] @ lam
-
-
 class _Skeleton(NamedTuple):
     """Element K's corrector columns on the skeleton of its patch: the free
     positions ``dofs`` of the skeleton vertices and the values ``x``, one
@@ -634,21 +617,6 @@ def _build_lod_basis(fine, coarse, kappa, k, system):
              "patch_elements_max": int(max(sizes))}
     Rh = (P_free - Q).tocsr()
     return LodBasis(k, Rh, restrict_system(system, Rh), stats)
-
-
-def global_corrector_basis(fine: TriMesh, coarse: TriMesh,
-                           kappa: CoefficientField,
-                           system: LqrSystem) -> LodBasis:
-    """Unlocalized construction: one constrained solve over the whole fine
-    space with every coarse constraint row.  Reference for testing the
-    localized assembly at saturation."""
-    _check_system(fine, system)
-    ws = _Workspace(fine, coarse, kappa)
-    S = system.S.tocsr()
-    Q = _constrained_solve(factor_spd(S, splu=splu), ws.I_free,
-                           (S @ ws.P_free).toarray())
-    Rh = sp.csr_matrix(ws.P_free - Q)
-    return LodBasis(-1, Rh, restrict_system(system, Rh), {"global": True})
 
 
 def corrector_decay_profile(fine: TriMesh, coarse: TriMesh,

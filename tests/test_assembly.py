@@ -311,6 +311,22 @@ def test_lqr_system_refuses_inconsistent_shapes(field, value, got, want):
         asm.LqrSystem(**kw)
 
 
+@pytest.mark.parametrize("field", ["M", "S", "B", "C", "Q", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lqr_system_refuses_non_finite_data(field, bad):
+    kw = dict(M=sp.identity(3, format="csr"), S=sp.identity(3, format="csr"),
+              B=np.ones((3, 1)), C=np.ones((1, 3)), Q=np.eye(1), R=np.eye(1))
+    value = kw[field].copy()
+    if sp.issparse(value):
+        value.data[-1] = bad
+    else:
+        value.flat[-1] = bad
+    kw[field] = value
+    with pytest.raises(ValueError,
+                       match=f"^{field} holds a NaN or an Inf$"):
+        asm.LqrSystem(**kw)
+
+
 def clipped_input_squares(mesh, squares):
     """Input matrix with every candidate triangle clipped against the
     square (the path that closed-form interior triangles replaced)."""

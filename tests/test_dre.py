@@ -407,34 +407,129 @@ def test_solve_matches_full_space_steps(n, p, r, q_zero, substeps, n_t,
                 <= 1e-12 * np.linalg.norm(X_want, 2))
 
 
-def test_reference_solve_steps_snapshot_columns(monkeypatch):
-    # the desk-grid reference shape (n=3969, n_t=16): the step factor
-    # takes p + rank X0 columns per substep of the snapshot pass and the
-    # basis's m columns per substep of one half-step, and the mass factor
-    # p columns (before the snapshot span: 1973 columns)
+def grid_reference_system():
+    """The desk-grid reference system: the `grid` preset on level 5
+    (n=3969), factored in the mesh's nested-dissection order."""
     chain = [mm.build_base_mesh(mm.unit_square())]
     for _ in range(5):
         chain.append(mm.refine_uniform(chain[-1]))
     kappa = bench.build_kappa(bench.preset_config("grid"))
-    system = bench.build_system(chain[5], kappa, "unit_square")
+    return bench.build_system(chain[5], kappa, "unit_square")
+
+
+def test_reference_solve_steps_snapshot_columns(monkeypatch):
+    # the desk-grid reference shape (n=3969, n_t=16): the step factor
+    # serves only the snapshot pass, one call of p + rank X0 columns per
+    # substep (128 columns here; 312 when T was formed by pushing U's m
+    # columns through the step factor, 1985 with full-space stepping), and
+    # the mass factor takes p columns
+    system = grid_reference_system()
     cfg = SolverConfig(T=1.0, n_t=16, substeps=4)
-    columns = []
+    factors = []
 
     class Counted:
         def __init__(self, lu):
-            self.lu = lu
+            self.lu, self.columns = lu, []
+            factors.append(self)
 
         def solve(self, rhs):
-            columns.append(rhs.shape[1])
+            self.columns.append(rhs.shape[1])
             return self.lu.solve(rhs)
 
     monkeypatch.setattr(dre, "splu", lambda *a, **kw: Counted(splu(*a, **kw)))
     sol = solve_dre(system, zero_factor(system.n), cfg)
-    m, p, n_sub = sol.subspace_dim, system.p, cfg.substeps
-    assert 0 < m < 100
-    assert sum(columns) <= 2 * cfg.n_t * n_sub * p + n_sub * m + p
+    mass, step = factors
+    p, K = system.p, 2 * cfg.n_t * cfg.substeps
+    assert mass.columns == [p]
+    assert step.columns == [p] * K
+    assert sum(step.columns) == 128
+    assert 0 < sol.subspace_dim < 100
     assert 0 < sol.timings["setup"] < sol.timings["total"]
     assert sol.rank_history[-1] == sol.final.rank > 0
+
+
+def reachable_snapshots(system, cfg, X):
+    """The snapshots Phi^k [W, X.L], k = 0..2 n_t substeps, in the system's
+    order, with a dense W = M^-1 C^T (none without an output term) and
+    Crank-Nicolson substeps of length tau / (2 substeps)."""
+    has_gram = system.p > 0 and np.any(system.Q)
+    W = (splu(system.M.tocsc()).solve(system.C.T) if has_gram
+         else np.zeros((system.n, 0)))
+    lu, Mminus = dre.crank_nicolson_ops(system, 0.5 * cfg.tau / cfg.substeps)
+    V = dre._gather(np.hstack([W, X.L]), system.order)
+    snaps = [V]
+    for _ in range(2 * cfg.n_t * cfg.substeps):
+        V = lu.solve(Mminus @ V)
+        snaps.append(V)
+    return [dre._scatter(Z, system.order) for Z in snaps]
+
+
+def neumann_system(domain, level, p, seed):
+    """All-nodes (Neumann) system: S is singular, with the constants in
+    its kernel."""
+    mesh = mm.build_base_mesh(domain())
+    for _ in range(level):
+        mesh = mm.refine_uniform(mesh)
+    rng = np.random.default_rng(seed)
+    kappa = asm.kappa_random_grid(2 ** -2, 1e-2, 1.0, seed=seed)
+    n = mesh.n_vertices
+    G = rng.standard_normal((p, p))
+    return asm.LqrSystem(M=asm.assemble_mass(mesh, all_nodes=True),
+                         S=asm.assemble_stiffness(mesh, kappa, all_nodes=True),
+                         B=rng.standard_normal((n, 1)),
+                         C=rng.standard_normal((p, n)), Q=G @ G.T / p)
+
+
+def check_propagator_on_snapshots(system, cfg, X):
+    # T maps the coordinates of every snapshot a half-step propagates,
+    # z_k with k <= K - substeps, to those of z_{k + substeps}; the whole
+    # matrix may differ from U^T Phi^substeps U along the last substeps
+    # snapshots, which no run propagates, so it is not compared
+    flow = FlowCache(system, cfg, X)
+    m, s = flow.dim, cfg.substeps
+    assert flow.T.shape == (m, m)
+    if m == 0:
+        return
+    coords = [flow.coordinates(LowRankFactor(Z, np.eye(Z.shape[1]))).L
+              for Z in reachable_snapshots(system, cfg, X)]
+    for k in range(len(coords) - s):
+        want = coords[k + s]
+        err = np.linalg.norm(flow.T @ coords[k] - want, 2)
+        assert err <= 1e-12 * max(np.linalg.norm(coords[k], 2),
+                                  np.linalg.norm(want, 2))
+    # |r| <= 1 on the pencil's eigenvalues: T does not grow the norm of
+    # U^T M U
+    Us = dre._scatter(flow.U, system.order)
+    Mh = Us.T @ (system.M @ Us)
+    G = sla.cholesky(0.5 * (Mh + Mh.T))
+    assert np.linalg.norm(G @ flow.T @ np.linalg.inv(G), 2) <= 1 + 1e-12
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 24), p=st.integers(1, 3), r=st.integers(0, 4),
+       q_zero=st.booleans(), substeps=st.integers(1, 4),
+       n_t=st.integers(1, 6),
+       neumann=st.sampled_from([None, (mm.unit_square, 0),
+                                (mm.unit_square, 1), (mm.l_shape, 0)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_half_step_propagator_on_reachable_snapshots(n, p, r, q_zero,
+                                                      substeps, n_t, neumann,
+                                                      seed):
+    system = (random_system(n, p, seed) if neumann is None
+              else neumann_system(*neumann, p, seed))
+    if q_zero:
+        system.Q = np.zeros((p, p))
+    cfg = SolverConfig(T=1.0, n_t=n_t, substeps=substeps)
+    rng = np.random.default_rng(seed + 1)
+    X = LowRankFactor(rng.standard_normal((system.n, r)),
+                      np.diag(rng.uniform(0.1, 1.0, r)))
+    check_propagator_on_snapshots(system, cfg, X)
+
+
+def test_half_step_propagator_on_reference_snapshots():
+    system = grid_reference_system()
+    check_propagator_on_snapshots(system, SolverConfig(T=1.0, n_t=16),
+                                  zero_factor(system.n))
 
 
 def test_solver_deterministic():
@@ -536,13 +631,10 @@ def test_non_finite_values_raise(monkeypatch):
     X0 = LowRankFactor(np.full((system.n, 1), np.nan), np.eye(1))
     with pytest.raises(FloatingPointError, match="non-finite"):
         solve_dre(system, X0, cfg)
-    # a NaN output weight shows in the output Gramian, which the flow
-    # forms before the first step
-    bad = asm.LqrSystem(M=system.M, S=system.S, B=system.B, C=system.C,
-                        Q=np.nan)
-    with pytest.raises(FloatingPointError,
-                       match="^output Gramian: compress: non-finite"):
-        solve_dre(bad, zero_factor(system.n), cfg)
+    # a NaN output weight is refused by the system, before any solve
+    with pytest.raises(ValueError, match="^Q holds a NaN or an Inf$"):
+        asm.LqrSystem(M=system.M, S=system.S, B=system.B, C=system.C,
+                      Q=np.nan)
 
     # a stage handed a NaN factor is named too
     def poisoned(F):

@@ -12,6 +12,8 @@ from mslqr import mesh as mm
 from mslqr.dre import SolverConfig, solve_dre
 from mslqr.lowrank import zero_factor
 
+from lod_reference import constrained_solve, global_corrector_basis
+
 
 def mesh_chain(j_fine, domain=mm.unit_square):
     m = mm.build_base_mesh(domain())
@@ -663,8 +665,8 @@ def test_corrector_zero_rhs_gives_zero(small):
     K = 4
     patch = lod.patch_elements(coarse, K, 1)
     _, Spp, Cp, rhs = ancestor_rule_problem(ws, small["kappa"], K, patch)
-    cols = lod._constrained_solve(asm.factor_spd(Spp, splu=splu), Cp,
-                                  np.zeros_like(rhs))
+    cols = constrained_solve(asm.factor_spd(Spp, splu=splu), Cp,
+                             np.zeros_like(rhs))
     assert cols.shape == rhs.shape
     assert np.abs(cols).max() == 0.0
 
@@ -701,7 +703,7 @@ def test_full_patch_matches_global_construction(small):
     kappa, system = small["kappa"], small["system"]
     k_full = coarse.n_triangles
     local = lod.build_lod_basis(fine, coarse, kappa, k=k_full, system=system)
-    glob = lod.global_corrector_basis(fine, coarse, kappa, system)
+    glob = global_corrector_basis(fine, coarse, kappa, system)
     assert abs(local.Rh - glob.Rh).max() <= 1e-10
 
 
@@ -967,7 +969,7 @@ def test_system_of_another_mesh_is_refused_before_any_work(monkeypatch,
     with pytest.raises(ValueError, match=msg):
         lod.build_lod_basis(fine, coarse, kappa, 1, other)
     with pytest.raises(ValueError, match=msg):
-        lod.global_corrector_basis(fine, coarse, kappa, other)
+        global_corrector_basis(fine, coarse, kappa, other)
 
 
 def test_default_patch_radius():
@@ -982,7 +984,7 @@ def test_weights_carry_over_to_every_basis(small):
     R = 3.0 * np.eye(s.m)
     system = asm.LqrSystem(M=s.M, S=s.S, B=s.B, C=s.C, Q=2.0, R=R)
     for basis in (lod.build_lod_basis(fine, coarse, kappa, 1, system),
-                  lod.global_corrector_basis(fine, coarse, kappa, system)):
+                  global_corrector_basis(fine, coarse, kappa, system)):
         assert np.array_equal(basis.system().Q, [[2.0]])
         assert np.array_equal(basis.system().R, R)
 
